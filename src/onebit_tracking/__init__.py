@@ -3,52 +3,35 @@
 The package computes Fisher/Bayesian information measures and recursive
 tracking bounds for receivers that observe only the sign of each sample,
 and verifies them by Monte-Carlo particle-filter simulation on built-in
-satellite-ranging and channel-gain scenarios.
+satellite-ranging and channel-gain scenarios.  Everything else is
+imported from its submodule.
 """
 
-from .bounds import (BoundTrajectory, SlowEvolutionLoss, TransientReport,
-                     bound_recursion, bound_trajectory, convergence_factor,
-                     db, slow_evolution_conditions, slow_evolution_loss,
-                     steady_state, transient_report)
-from .channel import (BlockObservation, NoiseModel, log_q, loglik_ideal,
-                      loglik_onebit, sample_block, sign_bit)
+from .bounds import (BoundTrajectory, TransientReport, bound_recursion,
+                     bound_trajectory, db, slow_evolution_loss, steady_state,
+                     transient_report)
+from .channel import loglik_ideal, loglik_onebit
 from .experiments import (MonteCarloResult, Scenario, builtin_scenario,
                           finite_k_loss, run_bounds, run_montecarlo,
                           steady_fbar, sweep_beta)
-from .fastlik import (IdealDelayLikelihood, IdealLinearLikelihood,
-                      OneBitDelayLikelihood, OneBitLinearLikelihood,
-                      make_likelihood)
+from .fastlik import make_likelihood
 from .filters import (DegenerateCloudError, ParticleCloud,
-                      ParticleFilterConfig, kalman_step, multinomial_resample,
-                      pf_init, pf_step, systematic_resample)
-from .info import (BayesReport, InfoReport, bayes_report, expected_fisher,
-                   fisher_ideal, fisher_onebit, info_report)
-from .signals import (CodeFileError, CodeSequence, DelayWaveform,
-                      LinearGainWaveform, WaveformEval, generate_gps_ca_code,
-                      load_code_from_file, make_delay_waveform,
+                      ParticleFilterConfig, kalman_step, pf_init, pf_step)
+from .info import bayes_report, expected_fisher, fisher_ideal, fisher_onebit
+from .signals import (CodeSequence, generate_gps_ca_code, make_delay_waveform,
                       make_pilot_waveform)
-from .state_space import (StateSpaceModel, marginal_moments,
-                          sample_trajectory, transition_logpdf)
+from .state_space import StateSpaceModel
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BayesReport", "BlockObservation", "BoundTrajectory", "CodeFileError",
-    "CodeSequence", "DegenerateCloudError", "DelayWaveform",
-    "IdealDelayLikelihood", "IdealLinearLikelihood", "InfoReport",
-    "LinearGainWaveform", "MonteCarloResult", "NoiseModel",
-    "OneBitDelayLikelihood", "OneBitLinearLikelihood", "ParticleCloud",
-    "ParticleFilterConfig", "Scenario", "SlowEvolutionLoss",
-    "StateSpaceModel", "TransientReport", "WaveformEval", "bayes_report",
-    "bound_recursion", "bound_trajectory", "builtin_scenario",
-    "convergence_factor", "db", "expected_fisher", "finite_k_loss",
-    "fisher_ideal", "fisher_onebit", "generate_gps_ca_code", "info_report",
-    "kalman_step", "load_code_from_file", "log_q", "loglik_ideal",
-    "loglik_onebit", "make_delay_waveform", "make_likelihood",
-    "make_pilot_waveform", "marginal_moments", "multinomial_resample",
-    "pf_init", "pf_step", "run_bounds", "run_montecarlo", "sample_block",
-    "sample_trajectory", "sign_bit", "slow_evolution_conditions",
-    "slow_evolution_loss", "steady_fbar", "steady_state",
-    "sweep_beta", "systematic_resample", "transient_report",
-    "transition_logpdf",
+    "BoundTrajectory", "CodeSequence", "DegenerateCloudError",
+    "MonteCarloResult", "ParticleCloud", "ParticleFilterConfig", "Scenario",
+    "StateSpaceModel", "TransientReport", "bayes_report", "bound_recursion",
+    "bound_trajectory", "builtin_scenario", "db", "expected_fisher",
+    "finite_k_loss", "fisher_ideal", "fisher_onebit", "generate_gps_ca_code",
+    "kalman_step", "loglik_ideal", "loglik_onebit", "make_delay_waveform",
+    "make_likelihood", "make_pilot_waveform", "pf_init", "pf_step",
+    "run_bounds", "run_montecarlo", "slow_evolution_loss", "steady_fbar",
+    "steady_state", "sweep_beta", "transient_report",
 ]

@@ -49,7 +49,6 @@ class BoundTrajectory:
 @dataclass(frozen=True)
 class TransientReport:
     xi: float                   # asymptotic convergence factor
-    nu: int                     # order of convergence (linear)
     k_lambda: int               # empirical, recursion until threshold
     k_lambda_ideal: int
     k_lambda_analytic: float    # -lambda / log10(xi), without the offset D
@@ -64,15 +63,12 @@ class TransientReport:
         return self.k_lambda / self.k_lambda_ideal
 
 
-def bound_recursion(model: StateSpaceModel, fbar, num_blocks: int = None,
-                    assembly: str = "simplified") -> np.ndarray:
+def bound_recursion(model: StateSpaceModel, fbar,
+                    num_blocks: int = None) -> np.ndarray:
     """Run the information recursion; returns U_0 .. U_K (length K+1).
 
     fbar may be a scalar (stationary expected Fisher information) or a
-    length-K sequence of per-block values Fbar_k for k = 1..K.  The
-    "dmatrix" assembly evaluates the defining Schur-complement form; it
-    agrees with the simplified form to roundoff and exists as a
-    cross-check.
+    length-K sequence of per-block values Fbar_k for k = 1..K.
     """
     fbar = np.atleast_1d(np.asarray(fbar, dtype=float))
     if num_blocks is None:
@@ -86,17 +82,8 @@ def bound_recursion(model: StateSpaceModel, fbar, num_blocks: int = None,
     alpha, sigma = model.alpha, model.sigma
     u = np.empty(num_blocks + 1)
     u[0] = 1.0 / model.sigma0**2
-    if assembly == "simplified":
-        for k in range(1, num_blocks + 1):
-            u[k] = 1.0 / (sigma**2 + alpha**2 / u[k - 1]) + fbar[k - 1]
-    elif assembly == "dmatrix":
-        d11 = alpha**2 / sigma**2
-        d12 = -alpha / sigma**2
-        for k in range(1, num_blocks + 1):
-            d22 = 1.0 / sigma**2 + fbar[k - 1]
-            u[k] = d22 - d12 * d12 / (u[k - 1] + d11)
-    else:
-        raise ValueError(f"unknown assembly {assembly!r}")
+    for k in range(1, num_blocks + 1):
+        u[k] = 1.0 / (sigma**2 + alpha**2 / u[k - 1]) + fbar[k - 1]
     return u
 
 
@@ -171,7 +158,8 @@ def _empirical_k_lambda(model: StateSpaceModel, fbar: float, quality: float,
         u = 1.0 / (sigma2 + alpha2 / u) + fbar
         if abs(u - u_star) <= threshold:
             return k
-    raise RuntimeError(f"no steady-state entry within {max_blocks} blocks")
+    raise ValueError(f"no steady-state entry within {max_blocks} blocks "
+                     f"at quality {quality}")
 
 
 def transient_report(model: StateSpaceModel, fbar_onebit: float,
@@ -189,8 +177,8 @@ def transient_report(model: StateSpaceModel, fbar_onebit: float,
     rounding; the estimate leaves D out.  The convergence order is
     linear (nu = 1) because the fixed-point derivative xi is nonzero.
     """
-    if quality <= 1:
-        raise ValueError(f"quality exponent must exceed 1, got {quality}")
+    if not (np.isfinite(quality) and quality > 1):
+        raise ValueError(f"quality exponent must be finite and exceed 1, got {quality}")
     xi = convergence_factor(model, fbar_onebit)
     xi_ideal = convergence_factor(model, fbar_ideal)
     k_emp = _empirical_k_lambda(model, fbar_onebit, quality)
@@ -199,7 +187,7 @@ def transient_report(model: StateSpaceModel, fbar_onebit: float,
     approx = quality / (2.0 * np.log(root)) if root > 1 else np.inf
     cond = slow_evolution_conditions(model, fbar_onebit, fbar_ideal)
     return TransientReport(
-        xi=xi, nu=1,
+        xi=xi,
         k_lambda=k_emp, k_lambda_ideal=k_emp_ideal,
         k_lambda_analytic=float(-quality / np.log10(xi)),
         k_lambda_ideal_analytic=float(-quality / np.log10(xi_ideal)),

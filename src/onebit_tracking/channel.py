@@ -1,4 +1,4 @@
-"""Block observation sampling and exact receiver log-likelihoods.
+"""Noise substreams and the exact receiver log-likelihoods.
 
 The ideal receiver sees y_k = gamma * s(theta_k) + eta_k with unit
 variance white Gaussian noise; the 1-bit receiver sees only the sample
@@ -8,7 +8,6 @@ signs r_k = sign(y_k), with sign(0) = +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -46,28 +45,6 @@ class NoiseModel:
     def generator(self, stream_position: tuple = ()) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(stream_position))
         return np.random.Generator(np.random.Philox(ss))
-
-
-@dataclass(frozen=True)
-class BlockObservation:
-    """One processing block as seen by the two receivers."""
-
-    onebit: np.ndarray
-    ideal: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.ideal is not None and self.onebit.shape != self.ideal.shape:
-            raise ValueError("onebit/ideal length mismatch")
-
-
-def sample_block(ev: WaveformEval, gamma: float, noise: NoiseModel,
-                 stream_position: tuple = ()) -> BlockObservation:
-    """Draw y = gamma*s + eta and its hard-limited version for one block."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    rng = noise.generator(stream_position)
-    y = gamma * ev.s + rng.standard_normal(ev.s.size)
-    return BlockObservation(onebit=sign_bit(y), ideal=y)
 
 
 def loglik_onebit(r: np.ndarray, ev: WaveformEval, gamma: float) -> float:

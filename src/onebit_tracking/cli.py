@@ -27,21 +27,52 @@ from .bounds import db, slow_evolution_loss, transient_report
 from .experiments import (SCENARIO_NAMES, Scenario, builtin_scenario,
                           finite_k_loss, run_bounds, run_montecarlo,
                           steady_fbar, sweep_beta)
-from .filters import ParticleFilterConfig
+from .info import bayes_report
 
 
 class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
 
 
-# every key accepted in a config file, with its coercion
-_KEY_TYPES = {
-    "scenario": str, "output": str, "seed": int, "workers": str,
-    "snr_db": float, "alpha": float, "sigma": float, "blocks": int,
-    "particles": int, "kappa": float, "trials": int, "realizations": int,
-    "lambda": float, "unit": str, "beta_min": float, "beta_max": float,
-    "points": int, "finite_k": int,
-}
+# One row per parameter: (config key, type, commands, help).  The config
+# file accepts every key; the flag is the key with '-' for '_' and goes
+# on the listed commands (None: all).  A tuple type lists the accepted
+# values; a bool is a switch on the command line and true/false in a file.
+_PARAMS = (
+    ("scenario", SCENARIO_NAMES, None, None),
+    ("output", str, None, "output CSV path (default stdout)"),
+    ("seed", int, None, None),
+    ("workers", str, None, "worker count or 'auto'"),
+    ("snr_db", float, None, None),
+    ("alpha", float, None, None),
+    ("sigma", float, None, None),
+    ("blocks", int, None, None),
+    ("particles", int, None, None),
+    ("kappa", float, None, None),
+    ("trials", int, None, None),
+    ("realizations", int, None, None),
+    ("lambda", float, None, None),
+    ("unit", ("chips", "seconds", "meters", "native"), None, None),
+    ("bayes", bool, ("fisher",), None),
+    ("beta_min", float, ("sweep",), None),
+    ("beta_max", float, ("sweep",), None),
+    ("points", int, ("sweep",), None),
+    ("finite_k", int, ("sweep",), None),
+)
+_KEY_TYPES = {key: kind for key, kind, _, _ in _PARAMS}
+
+
+def _convert(kind, text: str):
+    """A config-file value as the command-line flag of that type gives it."""
+    if kind is bool:
+        if text not in ("true", "false"):
+            raise ValueError(text)
+        return text == "true"
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(text)
+        return text
+    return kind(text)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -63,7 +94,7 @@ def _parse_config_file(path: str) -> dict:
         if key not in _KEY_TYPES:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _KEY_TYPES[key](value.strip())
+            values[key] = _convert(_KEY_TYPES[key], value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}: line {lineno}: bad value for {key!r}: {value.strip()!r}") from exc
     return values
@@ -130,13 +161,12 @@ def cmd_fisher(cfg: dict) -> int:
              f"chi,{_fmt(fbar / fbar_inf)}",
              f"chi_db,{_fmt(db(fbar / fbar_inf))}"]
     if cfg.get("bayes"):
-        j_prior = 1.0 / scenario.state.stationary_variance
-        j = fbar + j_prior
-        j_inf = fbar_inf + j_prior
-        lines += [f"bayes_onebit,{_fmt(j)}",
-                  f"bayes_ideal,{_fmt(j_inf)}",
-                  f"psi,{_fmt(j / j_inf)}",
-                  f"psi_db,{_fmt(db(j / j_inf))}"]
+        bayes = bayes_report(fbar, fbar_inf,
+                             1.0 / scenario.state.stationary_variance)
+        lines += [f"bayes_onebit,{_fmt(bayes.jbar_onebit)}",
+                  f"bayes_ideal,{_fmt(bayes.jbar_ideal)}",
+                  f"psi,{_fmt(bayes.psi)}",
+                  f"psi_db,{_fmt(db(bayes.psi))}"]
     _emit(lines, cfg.get("output"))
     return 0
 
@@ -149,7 +179,10 @@ def cmd_bound(cfg: dict) -> int:
     scenario = _build_scenario(cfg)
     if num_blocks is None:
         num_blocks = scenario.blocks
-    scale = scenario.unit_scale(cfg.get("unit", scenario.report_unit))
+    try:
+        scale = scenario.unit_scale(cfg.get("unit", scenario.report_unit))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     bt = run_bounds(scenario)
     lines = ["k,u_inv_sqrt_onebit,u_inv_sqrt_ideal,rho_db"]
     rho_db = db(bt.rho)
@@ -221,7 +254,7 @@ def cmd_transient(cfg: dict) -> int:
     loss = slow_evolution_loss(fbar, fbar_inf, scenario.state)
     lines = ["quantity,value",
              f"xi,{_fmt(report.xi)}",
-             f"nu,{report.nu}",
+             "nu,1",                 # order of convergence (linear)
              f"k_lambda,{report.k_lambda}",
              f"k_lambda_ideal,{report.k_lambda_ideal}",
              f"k_lambda_analytic,{_fmt(report.k_lambda_analytic)}",
@@ -252,40 +285,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--scenario", choices=SCENARIO_NAMES)
         p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--output", help="output CSV path (default stdout)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", help="worker count or 'auto'")
-        p.add_argument("--snr-db", dest="snr_db", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--blocks", type=int)
-        p.add_argument("--particles", type=int)
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--realizations", type=int)
-        p.add_argument("--lambda", dest="lambda_", type=float)
-        p.add_argument("--unit", choices=("chips", "seconds", "meters", "native"))
-        if name == "fisher":
-            p.add_argument("--bayes", action="store_true", default=None)
-        if name == "sweep":
-            p.add_argument("--beta-min", dest="beta_min", type=float)
-            p.add_argument("--beta-max", dest="beta_max", type=float)
-            p.add_argument("--points", type=int)
-            p.add_argument("--finite-k", dest="finite_k", type=int)
+        for key, kind, commands, help_ in _PARAMS:
+            if commands is not None and name not in commands:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_true",
+                               default=None, help=help_)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, dest=key, choices=kind, help=help_)
+            else:
+                p.add_argument(flag, dest=key, type=kind, help=help_)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _merged_config(args)
-        if getattr(args, "lambda_", None) is not None:
-            cfg["lambda"] = args.lambda_
-        if getattr(args, "bayes", None):
-            cfg["bayes"] = True
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](_merged_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,6 +63,8 @@ class Scenario:
     default_realizations: int = 50
 
     def __post_init__(self):
+        if not np.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if self.blocks < 1:
             raise ValueError(f"need at least one block, got {self.blocks}")
         if abs(self.gamma - 10.0 ** (self.snr_db / 20.0)) > 1e-12 * self.gamma:
@@ -95,10 +97,6 @@ class Scenario:
         return self.unit_scale(self.report_unit)
 
 
-def _pilot_code(chip_duration: float) -> CodeSequence:
-    return CodeSequence(np.array(_PILOT_SYMBOLS), chip_duration)
-
-
 def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
                      sigma: float = None, blocks: int = None,
                      particles: int = None, kappa: float = None) -> Scenario:
@@ -108,6 +106,9 @@ def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
     amplitude are re-derived from snr_db / alpha unless sigma is given
     explicitly.
     """
+    pf = ParticleFilterConfig(
+        num_particles=100 if particles is None else particles,
+        resample_threshold=0.66 if kappa is None else kappa)
     if name == "ranging":
         snr_db = -15.0 if snr_db is None else snr_db
         alpha = 1.0 - 1e-3 if alpha is None else alpha
@@ -119,11 +120,8 @@ def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
         return Scenario(
             name=name, kind="delay", waveform=make_delay_waveform(code),
             snr_db=snr_db, gamma=10.0 ** (snr_db / 20.0), state=state,
-            blocks=250 if blocks is None else blocks,
+            blocks=250 if blocks is None else blocks, pf=pf,
             theta_unit="seconds", report_unit="meters", chip_duration=tc,
-            pf=ParticleFilterConfig(
-                num_particles=100 if particles is None else particles,
-                resample_threshold=0.66 if kappa is None else kappa),
         )
     if name in ("uwb", "mobile"):
         if name == "uwb":
@@ -138,7 +136,7 @@ def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
             tc = 1.0 / 2.5e6
             sigma0 = None       # derived from the ideal Fisher information
             num_blocks = 1000
-        waveform = make_pilot_waveform(_pilot_code(tc))
+        waveform = make_pilot_waveform(CodeSequence(np.array(_PILOT_SYMBOLS), tc))
         snr = 10.0 ** (snr_db / 10.0)
         if sigma is None:
             sigma = np.sqrt((1.0 - alpha**2) * snr)
@@ -151,10 +149,7 @@ def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
             snr_db=snr_db, gamma=10.0 ** (snr_db / 20.0), state=state,
             blocks=num_blocks if blocks is None else blocks,
             theta_unit="dimensionless", report_unit="native",
-            chip_duration=tc,
-            pf=ParticleFilterConfig(
-                num_particles=100 if particles is None else particles,
-                resample_threshold=0.66 if kappa is None else kappa),
+            chip_duration=tc, pf=pf,
         )
     raise ValueError(f"unknown scenario {name!r}; known: {SCENARIO_NAMES}")
 

@@ -49,14 +49,10 @@ def periodic_cubic_interp(table: np.ndarray, pos: np.ndarray) -> np.ndarray:
 class _DelayCorrelator:
     """Shared spectral plumbing for the delay-waveform likelihoods."""
 
-    def __init__(self, waveform: DelayWaveform, table: np.ndarray,
-                 oversampling: int):
-        self.n = waveform.samples_per_block
-        self.m = oversampling
-        self.mn = table.size
+    def __init__(self, waveform: DelayWaveform, table: np.ndarray):
         self.table_spectrum_conj = np.conj(np.fft.fft(table))
         # theta -> fine-grid index; one fine step is T_s / oversampling
-        self.pos_scale = oversampling * waveform.sample_rate
+        self.pos_scale = DEFAULT_OVERSAMPLING * waveform.sample_rate
 
     def correlate(self, block: np.ndarray) -> np.ndarray:
         """C(j) = sum_n block_n * table[(n*M - j) mod MN] for all fine lags j.
@@ -64,39 +60,34 @@ class _DelayCorrelator:
         The zero-stuffed block spectrum is the length-N FFT tiled M
         times, so only one small FFT touches per-block data.
         """
-        spec = np.tile(np.fft.fft(block), self.m)
+        spec = np.tile(np.fft.fft(block), DEFAULT_OVERSAMPLING)
         return np.fft.ifft(spec * self.table_spectrum_conj).real
-
-    def lag_positions(self, thetas: np.ndarray) -> np.ndarray:
-        return np.asarray(thetas) * self.pos_scale
 
 
 class OneBitDelayLikelihood:
     """Exact-per-split 1-bit block log-likelihood, vectorized over delays."""
 
-    def __init__(self, waveform: DelayWaveform, gamma: float,
-                 oversampling: int = DEFAULT_OVERSAMPLING):
-        fine = waveform.baseband_table(oversampling)
+    def __init__(self, waveform: DelayWaveform, gamma: float):
+        fine = waveform.baseband_table(DEFAULT_OVERSAMPLING)
         lq_pos = log_q(-gamma * fine)
         lq_neg = log_q(gamma * fine)
         odd = 0.5 * (lq_pos - lq_neg)
         even = 0.5 * (lq_pos + lq_neg)
-        self._corr = _DelayCorrelator(waveform, odd, oversampling)
+        self._corr = _DelayCorrelator(waveform, odd)
         # The even-part sum over one block is periodic in theta with
         # period T_s (a one-sample shift relabels the block samples), so
         # only the M fractional offsets within one sample are needed.
-        n, m, mn = self._corr.n, oversampling, fine.size
-        sample_idx = np.arange(n) * m
+        m, mn = DEFAULT_OVERSAMPLING, fine.size
+        sample_idx = np.arange(waveform.samples_per_block) * m
         self._even_table = np.array([
             even[(sample_idx - j) % mn].sum() for j in range(m)
         ])
-        self._m = m
 
     def __call__(self, onebit: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         corr = self._corr.correlate(onebit)
-        pos = self._corr.lag_positions(thetas)
+        pos = np.asarray(thetas) * self._corr.pos_scale
         return (periodic_cubic_interp(corr, pos)
-                + periodic_cubic_interp(self._even_table, pos % self._m))
+                + periodic_cubic_interp(self._even_table, pos % DEFAULT_OVERSAMPLING))
 
 
 class IdealDelayLikelihood:
@@ -107,17 +98,16 @@ class IdealDelayLikelihood:
     + ||y||^2) / 2, using that ||s(th)||^2 = N for every delay.
     """
 
-    def __init__(self, waveform: DelayWaveform, gamma: float,
-                 oversampling: int = DEFAULT_OVERSAMPLING):
-        fine = waveform.baseband_table(oversampling)
-        self._corr = _DelayCorrelator(waveform, fine, oversampling)
+    def __init__(self, waveform: DelayWaveform, gamma: float):
+        fine = waveform.baseband_table(DEFAULT_OVERSAMPLING)
+        self._corr = _DelayCorrelator(waveform, fine)
         self._gamma = gamma
         n = waveform.samples_per_block
         self._const = -0.5 * n * (gamma**2 + np.log(2.0 * np.pi))
 
     def __call__(self, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         corr = self._corr.correlate(y)
-        pos = self._corr.lag_positions(thetas)
+        pos = np.asarray(thetas) * self._corr.pos_scale
         return (self._gamma * periodic_cubic_interp(corr, pos)
                 + self._const - 0.5 * float(np.dot(y, y)))
 

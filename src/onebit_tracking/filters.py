@@ -25,15 +25,12 @@ class DegenerateCloudError(RuntimeError):
 class ParticleFilterConfig:
     num_particles: int = 100
     resample_threshold: float = 0.66     # kappa, fraction of L
-    resampler: str = "systematic"
 
     def __post_init__(self):
         if self.num_particles < 2:
             raise ValueError("need at least 2 particles")
         if not 0.0 < self.resample_threshold <= 1.0:
             raise ValueError(f"kappa must be in (0, 1], got {self.resample_threshold}")
-        if self.resampler not in ("systematic", "multinomial"):
-            raise ValueError(f"unknown resampler {self.resampler!r}")
 
 
 @dataclass
@@ -63,11 +60,8 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     """Systematic resampling: one uniform offset, L evenly spaced positions."""
     ell = weights.size
     positions = (rng.random() + np.arange(ell)) / ell
-    return np.searchsorted(np.cumsum(weights), positions)
-
-
-def multinomial_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return np.searchsorted(np.cumsum(weights), rng.random(weights.size))
+    # a cumsum that rounds to just below 1 leaves the top position past it
+    return np.minimum(np.searchsorted(np.cumsum(weights), positions), ell - 1)
 
 
 def pf_step(cloud: ParticleCloud, model: StateSpaceModel, observation,
@@ -93,10 +87,7 @@ def pf_step(cloud: ParticleCloud, model: StateSpaceModel, observation,
     new_cloud = ParticleCloud(particles, w)
     estimate = new_cloud.mean()
     if new_cloud.ess() <= config.resample_threshold * config.num_particles:
-        if config.resampler == "systematic":
-            idx = systematic_resample(w, rng)
-        else:
-            idx = multinomial_resample(w, rng)
+        idx = systematic_resample(w, rng)
         new_cloud = ParticleCloud(particles[idx],
                                   np.full(w.size, 1.0 / w.size))
     return new_cloud, estimate

@@ -72,8 +72,7 @@ def info_report(ev: WaveformEval, gamma: float) -> InfoReport:
 
 def expected_fisher(waveform, gamma: float, mean: float, var: float,
                     receiver: str = "onebit",
-                    nodes: int = DEFAULT_QUADRATURE_NODES,
-                    block_index: int = 0) -> float:
+                    nodes: int = DEFAULT_QUADRATURE_NODES) -> float:
     """E[F(theta)] for theta ~ N(mean, var), by Gauss-Hermite quadrature.
 
     var = 0 degenerates to a point evaluation at the mean.
@@ -89,10 +88,10 @@ def expected_fisher(waveform, gamma: float, mean: float, var: float,
     else:
         raise ValueError(f"unknown receiver {receiver!r}")
     if var == 0.0:
-        return fisher(waveform.eval(mean, block_index), gamma)
+        return fisher(waveform.eval(mean), gamma)
     x, w = np.polynomial.hermite.hermgauss(nodes)
     thetas = mean + np.sqrt(2.0 * var) * x
-    values = [fisher(waveform.eval(t, block_index), gamma) for t in thetas]
+    values = [fisher(waveform.eval(t), gamma) for t in thetas]
     return float(np.dot(w, values) / np.sqrt(np.pi))
 
 

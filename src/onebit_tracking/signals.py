@@ -143,12 +143,11 @@ class DelayWaveform:
     def period(self) -> float:
         return self.code.period
 
-    def eval(self, theta: float, block_index: int = 0) -> WaveformEval:
+    def eval(self, theta: float) -> WaveformEval:
         """Evaluate s(theta) and ds/dtheta for a delay theta in seconds.
 
-        Blocks span exactly one code period, so the result is independent
-        of the block index; the argument is kept for interface symmetry
-        with time-varying waveforms.
+        Blocks span exactly one code period, so every block sees the
+        same waveform.
         """
         if not np.isfinite(theta):
             raise ValueError(f"delay must be finite, got {theta!r}")
@@ -209,7 +208,7 @@ class LinearGainWaveform:
     def samples_per_block(self) -> int:
         return self.pilot.size
 
-    def eval(self, theta: float, block_index: int = 0) -> WaveformEval:
+    def eval(self, theta: float) -> WaveformEval:
         if not np.isfinite(theta):
             raise ValueError(f"gain must be finite, got {theta!r}")
         return WaveformEval(theta * self.pilot, self.pilot)

@@ -22,10 +22,10 @@ class StateSpaceModel:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.sigma0 <= 0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
+            raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0}")
 
     @property
     def stationary_variance(self) -> float:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
-from onebit_tracking.channel import (BlockObservation, NoiseModel, log_q,
-                                     loglik_ideal, loglik_onebit,
-                                     sample_block, sign_bit)
+from onebit_tracking.channel import (NoiseModel, log_q, loglik_ideal,
+                                     loglik_onebit, sign_bit)
 from onebit_tracking.signals import WaveformEval
 
 
@@ -41,23 +40,6 @@ class TestNoiseModel:
         a = noise.generator((3, 1)).standard_normal(8)
         b = noise.generator((3, 2)).standard_normal(8)
         assert not np.array_equal(a, b)
-
-    def test_sample_block_shapes(self):
-        ev = WaveformEval(np.zeros(16), np.zeros(16))
-        obs = sample_block(ev, 0.5, NoiseModel(1), (0,))
-        assert obs.onebit.shape == (16,)
-        assert set(np.unique(obs.onebit)) <= {-1.0, 1.0}
-
-    def test_negative_gamma_rejected(self):
-        ev = WaveformEval(np.zeros(4), np.zeros(4))
-        with pytest.raises(ValueError):
-            sample_block(ev, -1.0, NoiseModel(1))
-
-
-class TestBlockObservation:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            BlockObservation(np.ones(4), np.ones(5))
 
 
 class TestOneBitLikelihood:

@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from onebit_tracking.cli import main
+from onebit_tracking.cli import (_COMMANDS, _PARAMS, _build_parser,
+                                 _merged_config, main)
 
 
 def run(capsys, *argv):
@@ -179,3 +180,62 @@ class TestConfigHandling:
         code, _, err = run(capsys, "bound", "--scenario", "ranging",
                            "--blocks", "-3")
         assert code == 2
+
+    def test_bayes_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = uwb\nbayes = true\n")
+        code, out, _ = run(capsys, "fisher", "--config", str(cfg))
+        assert code == 0
+        keys = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
+        assert keys[-4:] == ["bayes_onebit", "bayes_ideal", "psi", "psi_db"]
+
+    def test_bad_bayes_value_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = uwb\nbayes = maybe\n")
+        code, out, err = run(capsys, "fisher", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "'bayes'" in err
+
+
+class TestParameterTable:
+    SAMPLES = {int: "3", float: "0.25", str: "auto"}
+
+    @pytest.mark.parametrize("key,kind,commands",
+                             [row[:3] for row in _PARAMS],
+                             ids=[row[0] for row in _PARAMS])
+    def test_flag_and_config_key_agree(self, tmp_path, key, kind, commands):
+        parser = _build_parser()
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            text, flag_args = "true", [flag]
+        else:
+            text = kind[-1] if isinstance(kind, tuple) else self.SAMPLES[kind]
+            flag_args = [flag, text]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        for command in commands or _COMMANDS:
+            from_flag = _merged_config(parser.parse_args([command] + flag_args))
+            from_file = _merged_config(
+                parser.parse_args([command, "--config", str(cfg)]))
+            assert from_flag == from_file
+            assert list(from_flag) == [key]
+
+
+class TestBadNumbers:
+    """Bad input stops at the boundary: exit 2, an error line, no CSV."""
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--scenario", "mobile", "--sigma", "nan"),
+        ("fisher", "--scenario", "ranging", "--snr-db", "nan"),
+        ("track", "--scenario", "uwb", "--snr-db", "inf"),
+        ("transient", "--scenario", "ranging", "--lambda", "20"),
+        ("transient", "--scenario", "ranging", "--lambda", "nan"),
+        ("bound", "--scenario", "uwb", "--unit", "chips"),
+    ], ids=["sigma-nan", "snr-nan", "snr-inf", "lambda-20", "lambda-nan",
+            "unit-chips-on-gain"])
+    def test_exit_2_without_output(self, tmp_path, capsys, argv):
+        out_file = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv, "--output", str(out_file))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == "" and not out_file.exists()

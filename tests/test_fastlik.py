@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from onebit_tracking.channel import NoiseModel, loglik_ideal, loglik_onebit
+from onebit_tracking.channel import (NoiseModel, loglik_ideal, loglik_onebit,
+                                     sign_bit)
 from onebit_tracking.fastlik import (IdealDelayLikelihood,
                                      IdealLinearLikelihood,
                                      OneBitDelayLikelihood,
@@ -11,15 +14,19 @@ from onebit_tracking.signals import (CodeSequence, generate_gps_ca_code,
                                      make_delay_waveform, make_pilot_waveform)
 
 
+def observe(ev, gamma, noise, position):
+    """One block y = gamma*s + eta and its signs, drawn as the harness does."""
+    y = gamma * ev.s + noise.generator(position).standard_normal(ev.s.size)
+    return SimpleNamespace(onebit=sign_bit(y), ideal=y)
+
+
 @pytest.fixture(scope="module")
 def delay_setup():
     wf = make_delay_waveform(generate_gps_ca_code(5))
     gamma = 10.0 ** (-15.0 / 20.0)
     noise = NoiseModel(13)
     theta = 398.5137 * wf.code.chip_duration
-    obs = None
-    from onebit_tracking.channel import sample_block
-    obs = sample_block(wf.eval(theta), gamma, noise, (0, 1))
+    obs = observe(wf.eval(theta), gamma, noise, (0, 1))
     return wf, gamma, theta, obs
 
 
@@ -28,8 +35,7 @@ def pilot_setup():
     code = CodeSequence(np.array([1, -1, 1, -1, 1, -1, 1, -1, 1, 1],
                                  dtype=float), 1e-6)
     wf = make_pilot_waveform(code)
-    from onebit_tracking.channel import sample_block
-    obs = sample_block(wf.eval(0.3), 1.0, NoiseModel(13), (1, 1))
+    obs = observe(wf.eval(0.3), 1.0, NoiseModel(13), (1, 1))
     return wf, obs
 
 

@@ -5,8 +5,7 @@ from onebit_tracking.channel import NoiseModel
 from onebit_tracking.fastlik import IdealLinearLikelihood
 from onebit_tracking.filters import (DegenerateCloudError, ParticleCloud,
                                      ParticleFilterConfig, kalman_step,
-                                     multinomial_resample, pf_init, pf_step,
-                                     systematic_resample)
+                                     pf_init, pf_step, systematic_resample)
 from onebit_tracking.signals import CodeSequence, make_pilot_waveform
 from onebit_tracking.state_space import StateSpaceModel
 
@@ -25,7 +24,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"num_particles": 1}, {"resample_threshold": 0.0},
-        {"resample_threshold": 1.1}, {"resampler": "stratified"},
+        {"resample_threshold": 1.1}, {"resample_threshold": float("nan")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -51,11 +50,16 @@ class TestResampling:
         counts = np.bincount(idx, minlength=50)
         assert np.all(np.abs(counts - 50 * w) < 1.0 + 1e-12)
 
-    def test_multinomial_preserves_support(self):
-        rng = np.random.default_rng(2)
-        w = np.array([0.0, 0.5, 0.5, 0.0])
-        idx = multinomial_resample(w, rng)
-        assert set(idx) <= {1, 2}
+    def test_index_in_range_when_cumsum_ends_below_one(self):
+        class TopDraw:
+            def random(self):
+                return np.nextafter(1.0, 0.0)     # largest double below 1
+
+        w = np.random.default_rng(2).random(100)
+        w /= w.sum()
+        assert np.cumsum(w)[-1] < 1.0
+        idx = systematic_resample(w, TopDraw())
+        assert idx.max() == 99
 
     def test_resampling_unbiased_for_the_mean(self):
         rng = np.random.default_rng(8)
