@@ -16,7 +16,7 @@ from .experiments import (MonteCarloResult, Scenario, builtin_scenario,
                           steady_fbar, sweep_beta)
 from .fastlik import make_likelihood
 from .filters import (DegenerateCloudError, ParticleCloud,
-                      ParticleFilterConfig, kalman_step, pf_init, pf_step)
+                      ParticleFilterConfig, pf_init, pf_step)
 from .info import bayes_report, expected_fisher, fisher_ideal, fisher_onebit
 from .signals import (CodeSequence, generate_gps_ca_code, make_delay_waveform,
                       make_pilot_waveform)
@@ -30,7 +30,7 @@ __all__ = [
     "StateSpaceModel", "TransientReport", "bayes_report", "bound_recursion",
     "bound_trajectory", "builtin_scenario", "db", "expected_fisher",
     "finite_k_loss", "fisher_ideal", "fisher_onebit", "generate_gps_ca_code",
-    "kalman_step", "loglik_ideal", "loglik_onebit", "make_delay_waveform",
+    "loglik_ideal", "loglik_onebit", "make_delay_waveform",
     "make_likelihood", "make_pilot_waveform", "pf_init", "pf_step",
     "run_bounds", "run_montecarlo", "slow_evolution_loss", "steady_fbar",
     "steady_state", "sweep_beta", "transient_report",

@@ -123,10 +123,6 @@ class SlowEvolutionLoss:
     rho_approx: float           # sqrt(Fbar / Fbar_inf)
     conditions_ok: bool
 
-    @property
-    def gap(self) -> float:
-        return self.rho - self.rho_approx
-
 
 def slow_evolution_loss(fbar_onebit: float, fbar_ideal: float,
                         model: StateSpaceModel) -> SlowEvolutionLoss:

@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from .bounds import db, slow_evolution_loss, transient_report
-from .experiments import (SCENARIO_NAMES, Scenario, builtin_scenario,
+from .experiments import (DEFAULT_PROCESSES, DEFAULT_REALIZATIONS,
+                          SCENARIO_NAMES, Scenario, builtin_scenario,
                           finite_k_loss, run_bounds, run_montecarlo,
                           steady_fbar, sweep_beta)
 from .info import bayes_report
@@ -198,13 +199,15 @@ def cmd_bound(cfg: dict) -> int:
 
 def cmd_track(cfg: dict) -> int:
     scenario = _build_scenario(cfg)
-    trials = cfg.get("trials", scenario.default_processes)
-    realizations = cfg.get("realizations", scenario.default_realizations)
+    trials = cfg.get("trials", DEFAULT_PROCESSES)
+    realizations = cfg.get("realizations", DEFAULT_REALIZATIONS)
+    seed = cfg.get("seed", 0)
     if trials < 1 or realizations < 1:
         raise ConfigError("trials and realizations must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     result = run_montecarlo(scenario, processes=trials,
-                            realizations=realizations,
-                            master_seed=cfg.get("seed", 0),
+                            realizations=realizations, master_seed=seed,
                             workers=_workers(cfg))
     lines = ["k,rmse_onebit,rmse_ideal,bound_onebit,bound_ideal,discarded"]
     for k in range(result.k.size):
@@ -228,7 +231,7 @@ def cmd_sweep(cfg: dict) -> int:
     grid = np.logspace(np.log10(beta_min), np.log10(beta_max), points)
     grid[0], grid[-1] = beta_min, beta_max    # endpoints exactly
     try:
-        if cfg.get("finite_k"):
+        if cfg.get("finite_k") is not None:
             rows = finite_k_loss(scenario, grid, cfg["finite_k"])
             lines = ["beta,k,rho_k_db"]
             lines += [f"{_fmt(b)},{k},{_fmt(r)}" for b, k, r in rows]

@@ -27,8 +27,8 @@ from .fastlik import make_likelihood
 from .filters import (DegenerateCloudError, ParticleFilterConfig, pf_init,
                       pf_step)
 from .info import bayes_report, expected_fisher, fisher_ideal, fisher_onebit
-from .signals import (CodeSequence, generate_gps_ca_code, make_delay_waveform,
-                      make_pilot_waveform)
+from .signals import (CodeSequence, DelayWaveform, generate_gps_ca_code,
+                      make_delay_waveform, make_pilot_waveform)
 from .state_space import StateSpaceModel, marginal_moments, sample_trajectory
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -43,36 +43,56 @@ _PILOT_SYMBOLS = (1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0)
 
 SCENARIO_NAMES = ("ranging", "uwb", "mobile")
 
+# desk-scale Monte-Carlo size: trajectories P x noise realizations R
+DEFAULT_PROCESSES = 20
+DEFAULT_REALIZATIONS = 50
+
+
+def _linear_snr(snr_db: float) -> float:
+    """SNR 10^(snr_db/10); it must be a finite positive double."""
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = np.inf
+    if not (np.isfinite(snr) and snr > 0.0):    # NaN fails here too
+        raise ValueError(f"snr_db must give a finite positive SNR, got {snr_db}")
+    return snr
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully-populated experiment definition."""
+    """Fully-populated experiment definition; the waveform type fixes the
+    parameter: a delay in seconds (DelayWaveform) or a dimensionless gain."""
 
     name: str
-    kind: str                   # "delay" or "linear"
     waveform: object
     snr_db: float
-    gamma: float                # amplitude, 10^(snr_db/20)
-    state: StateSpaceModel      # in theta_unit
+    state: StateSpaceModel      # in seconds (delay) or dimensionless (gain)
     blocks: int
-    theta_unit: str             # "seconds" or "dimensionless"
-    report_unit: str            # "meters" or "native"
     chip_duration: float
     pf: ParticleFilterConfig
-    default_processes: int = 20
-    default_realizations: int = 50
 
     def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        _linear_snr(self.snr_db)
         if self.blocks < 1:
             raise ValueError(f"need at least one block, got {self.blocks}")
-        if abs(self.gamma - 10.0 ** (self.snr_db / 20.0)) > 1e-12 * self.gamma:
-            raise ValueError("gamma inconsistent with snr_db")
+
+    @property
+    def kind(self) -> str:
+        return "delay" if isinstance(self.waveform, DelayWaveform) else "linear"
+
+    @property
+    def report_unit(self) -> str:
+        return "meters" if self.kind == "delay" else "native"
 
     @property
     def snr(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
+        return _linear_snr(self.snr_db)
+
+    @property
+    def gamma(self) -> float:
+        """Amplitude 10^(snr_db/20)."""
+        return 10.0 ** (self.snr_db / 20.0)
 
     @property
     def likelihood_gamma(self) -> float:
@@ -81,7 +101,7 @@ class Scenario:
 
     def unit_scale(self, unit: str) -> float:
         """Multiplier taking theta-unit values to the requested unit."""
-        if self.theta_unit == "seconds":
+        if self.kind == "delay":
             scales = {"seconds": 1.0,
                       "chips": 1.0 / self.chip_duration,
                       "meters": SPEED_OF_LIGHT,
@@ -118,10 +138,9 @@ def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
         state = StateSpaceModel(alpha=alpha, sigma=sigma,
                                 mu0=398.7342 * tc, sigma0=0.1 * tc)
         return Scenario(
-            name=name, kind="delay", waveform=make_delay_waveform(code),
-            snr_db=snr_db, gamma=10.0 ** (snr_db / 20.0), state=state,
-            blocks=250 if blocks is None else blocks, pf=pf,
-            theta_unit="seconds", report_unit="meters", chip_duration=tc,
+            name=name, waveform=make_delay_waveform(code), snr_db=snr_db,
+            state=state, blocks=250 if blocks is None else blocks,
+            chip_duration=tc, pf=pf,
         )
     if name in ("uwb", "mobile"):
         if name == "uwb":
@@ -137,7 +156,7 @@ def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
             sigma0 = None       # derived from the ideal Fisher information
             num_blocks = 1000
         waveform = make_pilot_waveform(CodeSequence(np.array(_PILOT_SYMBOLS), tc))
-        snr = 10.0 ** (snr_db / 10.0)
+        snr = _linear_snr(snr_db)
         if sigma is None:
             sigma = np.sqrt((1.0 - alpha**2) * snr)
         if sigma0 is None:
@@ -145,10 +164,8 @@ def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
         state = StateSpaceModel(alpha=alpha, sigma=sigma,
                                 mu0=np.sqrt(snr), sigma0=sigma0)
         return Scenario(
-            name=name, kind="linear", waveform=waveform,
-            snr_db=snr_db, gamma=10.0 ** (snr_db / 20.0), state=state,
+            name=name, waveform=waveform, snr_db=snr_db, state=state,
             blocks=num_blocks if blocks is None else blocks,
-            theta_unit="dimensionless", report_unit="native",
             chip_duration=tc, pf=pf,
         )
     raise ValueError(f"unknown scenario {name!r}; known: {SCENARIO_NAMES}")
@@ -209,16 +226,6 @@ def run_bounds(scenario: Scenario, num_blocks: int = None) -> BoundTrajectory:
                                              steady_fbar(scenario, "ideal")))
 
 
-def bayes_psi(scenario: Scenario) -> float:
-    """Steady-state Bayesian loss psi with prior information 1/var(theta)."""
-    if scenario.kind != "linear":
-        raise ValueError("psi is defined for the gain-tracking scenarios")
-    j_prior = 1.0 / scenario.state.stationary_variance
-    report = bayes_report(steady_fbar(scenario, "onebit"),
-                          steady_fbar(scenario, "ideal"), j_prior)
-    return report.psi
-
-
 @dataclass(frozen=True)
 class MonteCarloResult:
     """Aggregated filter errors against the tracking bound, in report_unit."""
@@ -228,16 +235,10 @@ class MonteCarloResult:
     rmse_ideal: np.ndarray
     bound_onebit: np.ndarray     # U_k^{-1/2}
     bound_ideal: np.ndarray
-    rho_db: np.ndarray
     trials: int                  # trajectory count P
     realizations: int            # noise realizations per trajectory R
     discarded: int
     unit: str
-
-    @property
-    def per_block(self):
-        return list(zip(self.k, self.rmse_onebit, self.rmse_ideal,
-                        self.bound_onebit, self.bound_ideal, self.rho_db))
 
 
 def _simulate_trial(scenario: Scenario, theta: np.ndarray,
@@ -301,8 +302,8 @@ def _trajectory_worker(scenario: Scenario, pf_config: ParticleFilterConfig,
     return p, sse_onebit, sse_ideal, completed, discarded
 
 
-def run_montecarlo(scenario: Scenario, processes: int = None,
-                   realizations: int = None,
+def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
+                   realizations: int = DEFAULT_REALIZATIONS,
                    pf_config: ParticleFilterConfig = None,
                    master_seed: int = 0, workers: int = 1) -> MonteCarloResult:
     """Particle-filter RMSE vs the tracking bound over P x R trials.
@@ -311,9 +312,6 @@ def run_montecarlo(scenario: Scenario, processes: int = None,
     both receivers' averages and counted.  The result is deterministic
     for a given master_seed, independent of the worker count.
     """
-    processes = scenario.default_processes if processes is None else processes
-    realizations = (scenario.default_realizations if realizations is None
-                    else realizations)
     if processes < 1 or realizations < 1:
         raise ValueError("need at least one trajectory and one realization")
     pf_config = scenario.pf if pf_config is None else pf_config
@@ -323,7 +321,7 @@ def run_montecarlo(scenario: Scenario, processes: int = None,
         results = [_trajectory_worker(*a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trajectory_worker_star, args))
+            results = list(pool.map(_trajectory_worker, *zip(*args)))
     results.sort(key=lambda item: item[0])
 
     num_blocks = scenario.blocks
@@ -347,14 +345,9 @@ def run_montecarlo(scenario: Scenario, processes: int = None,
         rmse_ideal=scale * np.sqrt(sse_ideal / completed),
         bound_onebit=scale / np.sqrt(bt.u_onebit),
         bound_ideal=scale / np.sqrt(bt.u_ideal),
-        rho_db=db(bt.rho),
         trials=processes, realizations=realizations,
         discarded=discarded, unit=scenario.report_unit,
     )
-
-
-def _trajectory_worker_star(args):
-    return _trajectory_worker(*args)
 
 
 def sweep_beta(scenario_base: Scenario, beta_grid) -> list:
@@ -406,8 +399,7 @@ def finite_k_loss(scenario_base: Scenario, beta_list, num_blocks: int) -> list:
         model = StateSpaceModel(alpha=alpha, sigma=sigma,
                                 mu0=scenario_base.state.mu0,
                                 sigma0=scenario_base.state.sigma0)
-        scenario = replace(scenario_base, snr_db=scenario_base.snr_db,
-                           state=model, blocks=num_blocks)
+        scenario = replace(scenario_base, state=model, blocks=num_blocks)
         bt = run_bounds(scenario)
         rho_db = db(bt.rho)
         rows.extend((float(beta), int(k), float(rho_db[k]))

@@ -1,11 +1,9 @@
-"""Block-recursive estimators: SIR particle filter and a Kalman oracle.
+"""Block-recursive SIR particle filter.
 
-The particle filter uses the state transition density as importance
-density, updates weights with the observation likelihood in the log
-domain, estimates by the weighted particle mean, and resamples when the
-effective sample size 1/sum(w^2) drops to kappa * L or below.  The
-Kalman filter is exact for the linear-Gaussian pilot model and serves
-as a test oracle.
+The filter uses the state transition density as importance density,
+updates weights with the observation likelihood in the log domain,
+estimates by the weighted particle mean, and resamples when the
+effective sample size 1/sum(w^2) drops to kappa * L or below.
 """
 
 from __future__ import annotations
@@ -91,27 +89,3 @@ def pf_step(cloud: ParticleCloud, model: StateSpaceModel, observation,
         new_cloud = ParticleCloud(particles[idx],
                                   np.full(w.size, 1.0 / w.size))
     return new_cloud, estimate
-
-
-def kalman_step(state: tuple[float, float], model: StateSpaceModel,
-                y: np.ndarray, pilot: np.ndarray,
-                gamma: float) -> tuple[float, float]:
-    """Exact posterior update for y = gamma * theta * pilot + noise.
-
-    state is the previous posterior (mean, variance); the predict stage
-    applies the AR(1) transition, the update stage the linear
-    measurement with unit noise covariance.
-    """
-    mean, var = state
-    if var <= 0:
-        raise ValueError("posterior variance must be positive")
-    mean = model.alpha * mean
-    var = model.alpha**2 * var + model.sigma**2
-    h = gamma * np.asarray(pilot, dtype=float)
-    s = float(np.dot(h, h))
-    if s == 0.0:
-        return mean, var          # zero-information block: pure prediction
-    # information-form update avoids the explicit gain vector
-    post_var = 1.0 / (1.0 / var + s)
-    post_mean = post_var * (mean / var + float(np.dot(h, y)))
-    return post_mean, post_var

@@ -23,17 +23,6 @@ DEFAULT_QUADRATURE_NODES = 33
 
 
 @dataclass(frozen=True)
-class InfoReport:
-    fisher_onebit: float
-    fisher_ideal: float
-
-    @property
-    def chi(self) -> float:
-        """Block-wise 1-bit information loss F / F_inf."""
-        return self.fisher_onebit / self.fisher_ideal
-
-
-@dataclass(frozen=True)
 class BayesReport:
     jbar_onebit: float      # F-bar + J_p
     jbar_ideal: float       # F-bar_inf + J_p
@@ -64,10 +53,6 @@ def fisher_onebit(ev: WaveformEval, gamma: float) -> float:
 
 def fisher_ideal(ev: WaveformEval, gamma: float) -> float:
     return float(gamma**2 * np.dot(ev.ds_dtheta, ev.ds_dtheta))
-
-
-def info_report(ev: WaveformEval, gamma: float) -> InfoReport:
-    return InfoReport(fisher_onebit(ev, gamma), fisher_ideal(ev, gamma))
 
 
 def expected_fisher(waveform, gamma: float, mean: float, var: float,

@@ -29,10 +29,6 @@ _G2_DELAY = (
 )
 
 
-class CodeFileError(ValueError):
-    """Raised when a code file cannot be parsed."""
-
-
 @dataclass(frozen=True)
 class CodeSequence:
     """Binary spreading sequence with +-1 symbols and a chip duration."""
@@ -82,25 +78,6 @@ def generate_gps_ca_code(prn: int, chip_duration: float = 1.0 / 1.023e6) -> Code
         g2 = [fb2] + g2[:9]
     chips = g1_out ^ np.roll(g2_out, _G2_DELAY[prn - 1])
     return CodeSequence(np.where(chips == 1, 1.0, -1.0), chip_duration)
-
-
-def load_code_from_file(path, chip_duration: float = 1.0 / 1.023e6) -> CodeSequence:
-    """Read a code file with one symbol (+1/-1 or 1/0) per line; 0 maps to -1."""
-    symbols = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            if token in ("1", "+1"):
-                symbols.append(1.0)
-            elif token in ("0", "-1"):
-                symbols.append(-1.0)
-            else:
-                raise CodeFileError(f"{path}: line {lineno}: invalid symbol {token!r}")
-    if not symbols:
-        raise CodeFileError(f"{path}: no symbols found")
-    return CodeSequence(np.array(symbols), chip_duration)
 
 
 @dataclass(frozen=True)

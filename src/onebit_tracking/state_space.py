@@ -31,11 +31,6 @@ class StateSpaceModel:
     def stationary_variance(self) -> float:
         return self.sigma**2 / (1.0 - self.alpha**2)
 
-    def scaled(self, factor: float) -> "StateSpaceModel":
-        """Model for theta expressed in units scaled by the given factor."""
-        return StateSpaceModel(self.alpha, self.sigma * factor,
-                               self.mu0 * factor, self.sigma0 * factor)
-
 
 def marginal_moments(model: StateSpaceModel, k: int) -> tuple[float, float]:
     """Closed-form (mean, variance) of theta_k.
@@ -69,10 +64,3 @@ def sample_trajectory(model: StateSpaceModel, num_blocks: int,
     for k in range(1, num_blocks + 1):
         theta[k] = model.alpha * theta[k - 1] + innovations[k - 1]
     return theta
-
-
-def transition_logpdf(model: StateSpaceModel, theta_k, theta_prev):
-    """log p(theta_k | theta_{k-1}), elementwise over arrays."""
-    resid = np.asarray(theta_k) - model.alpha * np.asarray(theta_prev)
-    return (-0.5 * np.log(2.0 * np.pi) - np.log(model.sigma)
-            - 0.5 * (resid / model.sigma) ** 2)

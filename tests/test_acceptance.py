@@ -16,15 +16,15 @@ from onebit_tracking.bounds import (bound_recursion, db,
                                     slow_evolution_loss, steady_state,
                                     transient_report)
 from onebit_tracking.cli import main
-from onebit_tracking.experiments import (bayes_psi, builtin_scenario,
-                                         run_bounds, run_montecarlo,
-                                         steady_fbar)
-from onebit_tracking.filters import ParticleFilterConfig, kalman_step, pf_init
-from onebit_tracking.info import fisher_ideal, fisher_onebit, info_report
+from onebit_tracking.experiments import (builtin_scenario, run_bounds,
+                                         run_montecarlo, steady_fbar)
+from onebit_tracking.filters import ParticleFilterConfig, pf_init
+from onebit_tracking.info import bayes_report, fisher_ideal, fisher_onebit
 from onebit_tracking.signals import WaveformEval
 from onebit_tracking.state_space import StateSpaceModel
 
 import mobius
+from kalman import kalman_step
 
 TWO_OVER_PI = 2.0 / np.pi
 
@@ -50,10 +50,13 @@ def ranging_fbar(ranging):
     return steady_fbar(ranging, "onebit"), steady_fbar(ranging, "ideal")
 
 
+def _chi(ev, gamma):
+    return fisher_onebit(ev, gamma) / fisher_ideal(ev, gamma)
+
+
 def test_criterion_01_low_snr_fisher_loss(capsys, ranging, uwb):
-    chi_delay = info_report(
-        ranging.waveform.eval(0.37 * ranging.chip_duration), 1e-3).chi
-    chi_pilot = info_report(uwb.waveform.eval(1e-3), 1.0).chi
+    chi_delay = _chi(ranging.waveform.eval(0.37 * ranging.chip_duration), 1e-3)
+    chi_pilot = _chi(uwb.waveform.eval(1e-3), 1.0)
     err = max(abs(chi_delay - TWO_OVER_PI), abs(chi_pilot - TWO_OVER_PI))
     verdict(capsys, 1, err < 1e-4,
             f"chi at vanishing SNR equals 2/pi on both waveforms "
@@ -181,7 +184,10 @@ def test_criterion_07_figure_endpoints(capsys, ranging, uwb):
     rho15 = db(bt.rho[15])
     rho_ss = db(bt.rho_steady)
     rho_uwb = db(run_bounds(uwb).rho_steady)
-    psi = db(bayes_psi(builtin_scenario("mobile")))
+    mobile = builtin_scenario("mobile")
+    psi = db(bayes_report(steady_fbar(mobile, "onebit"),
+                          steady_fbar(mobile, "ideal"),
+                          1.0 / mobile.state.stationary_variance).psi)
     checks = [(rho1, -1.38), (rho15, -1.90), (rho_ss, -0.93),
               (rho_uwb, -1.02), (psi, -5.73)]
     worst = max(abs(got - want) for got, want in checks)

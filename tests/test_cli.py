@@ -231,8 +231,14 @@ class TestBadNumbers:
         ("transient", "--scenario", "ranging", "--lambda", "20"),
         ("transient", "--scenario", "ranging", "--lambda", "nan"),
         ("bound", "--scenario", "uwb", "--unit", "chips"),
+        ("fisher", "--scenario", "ranging", "--snr-db", "1e308"),
+        ("fisher", "--scenario", "ranging", "--snr-db=-1e308"),
+        ("fisher", "--scenario", "ranging", "--snr-db", "6000"),
+        ("track", "--scenario", "uwb", "--seed", "-1"),
+        ("sweep", "--scenario", "mobile", "--finite-k", "0"),
     ], ids=["sigma-nan", "snr-nan", "snr-inf", "lambda-20", "lambda-nan",
-            "unit-chips-on-gain"])
+            "unit-chips-on-gain", "snr-overflow", "snr-underflow",
+            "snr-squared-overflow", "seed-negative", "finite-k-0"])
     def test_exit_2_without_output(self, tmp_path, capsys, argv):
         out_file = tmp_path / "out.csv"
         code, out, err = run(capsys, *argv, "--output", str(out_file))

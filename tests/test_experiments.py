@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from onebit_tracking.bounds import db
-from onebit_tracking.experiments import (SPEED_OF_LIGHT, bayes_psi,
-                                         builtin_scenario, finite_k_loss,
-                                         run_bounds, run_montecarlo,
-                                         steady_fbar, sweep_beta)
+from onebit_tracking.experiments import (SPEED_OF_LIGHT, builtin_scenario,
+                                         finite_k_loss, run_bounds,
+                                         run_montecarlo, steady_fbar,
+                                         sweep_beta)
+from onebit_tracking.info import bayes_report
 
 
 class TestBuiltinScenarios:
@@ -46,6 +49,17 @@ class TestBuiltinScenarios:
         assert s.gamma == pytest.approx(10.0 ** (-0.5))
         assert s.blocks == 5
         assert s.pf.num_particles == 7
+
+    def test_fields_derived_from_waveform_and_snr(self):
+        s = replace(builtin_scenario("ranging"), snr_db=-10.0)
+        assert s.gamma == 10 ** -0.5
+        assert s.snr == 10 ** -1.0
+        expected = {"ranging": ("delay", "meters"),
+                    "uwb": ("linear", "native"),
+                    "mobile": ("linear", "native")}
+        for name, (kind, unit) in expected.items():
+            s = builtin_scenario(name)
+            assert (s.kind, s.report_unit) == (kind, unit)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -101,8 +115,10 @@ class TestSweep:
         assert all(a >= b - 1e-12 for a, b in zip(rho, rho[1:]))
 
     def test_psi_value(self):
-        assert db(bayes_psi(builtin_scenario("mobile"))) == pytest.approx(
-            -5.73, abs=0.05)
+        s = builtin_scenario("mobile")
+        report = bayes_report(steady_fbar(s, "onebit"), steady_fbar(s, "ideal"),
+                              1.0 / s.state.stationary_variance)
+        assert db(report.psi) == pytest.approx(-5.73, abs=0.05)
 
     def test_rejects_bad_beta(self):
         s = builtin_scenario("mobile")

@@ -4,10 +4,12 @@ import pytest
 from onebit_tracking.channel import NoiseModel
 from onebit_tracking.fastlik import IdealLinearLikelihood
 from onebit_tracking.filters import (DegenerateCloudError, ParticleCloud,
-                                     ParticleFilterConfig, kalman_step,
-                                     pf_init, pf_step, systematic_resample)
+                                     ParticleFilterConfig, pf_init, pf_step,
+                                     systematic_resample)
 from onebit_tracking.signals import CodeSequence, make_pilot_waveform
 from onebit_tracking.state_space import StateSpaceModel
+
+from kalman import kalman_step
 
 
 def pilot_waveform():

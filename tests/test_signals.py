@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from onebit_tracking.signals import (CodeFileError, CodeSequence,
-                                     generate_gps_ca_code,
-                                     load_code_from_file, make_delay_waveform,
-                                     make_pilot_waveform)
+from onebit_tracking.signals import (CodeSequence, generate_gps_ca_code,
+                                     make_delay_waveform, make_pilot_waveform)
 
 
 def octal_id(code):
@@ -59,26 +57,6 @@ class TestCodeSequence:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             CodeSequence(np.array([]), 1e-6)
-
-
-class TestCodeFile:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "code.txt"
-        path.write_text("+1\n-1\n1\n0\n\n-1\n")
-        code = load_code_from_file(path, 1e-6)
-        assert np.array_equal(code.symbols, [1, -1, 1, -1, -1])
-
-    def test_bad_symbol_reports_line(self, tmp_path):
-        path = tmp_path / "code.txt"
-        path.write_text("1\n-1\ntwo\n")
-        with pytest.raises(CodeFileError, match="line 3"):
-            load_code_from_file(path)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "code.txt"
-        path.write_text("\n\n")
-        with pytest.raises(CodeFileError, match="no symbols"):
-            load_code_from_file(path)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from onebit_tracking.state_space import (StateSpaceModel, marginal_moments,
-                                         sample_trajectory, transition_logpdf)
+                                         sample_trajectory)
 
 
 class TestModelValidation:
@@ -21,10 +20,6 @@ class TestModelValidation:
     def test_positive_scales(self, sigma, sigma0):
         with pytest.raises(ValueError):
             StateSpaceModel(0.5, sigma, 0.0, sigma0)
-
-    def test_scaled(self):
-        m = StateSpaceModel(0.9, 0.2, 3.0, 0.5).scaled(10.0)
-        assert (m.alpha, m.sigma, m.mu0, m.sigma0) == (0.9, 2.0, 30.0, 5.0)
 
 
 class TestMarginalMoments:
@@ -87,25 +82,7 @@ class TestSampleTrajectory:
 
 
 class TestTransitionLogpdf:
-    def test_matches_normal_density(self):
-        model = StateSpaceModel(0.7, 0.3, 0.0, 1.0)
-        prev = np.array([0.0, 1.0, -2.0])
-        cur = np.array([0.1, 0.5, -1.3])
-        expected = norm.logpdf(cur, 0.7 * prev, 0.3)
-        np.testing.assert_allclose(transition_logpdf(model, cur, prev),
-                                   expected, rtol=1e-12)
-
-    def test_symmetric_about_mode(self):
-        model = StateSpaceModel(0.7, 0.3, 0.0, 1.0)
-        a = transition_logpdf(model, 0.7 * 1.2 + 0.1, 1.2)
-        b = transition_logpdf(model, 0.7 * 1.2 - 0.1, 1.2)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_normalizes_over_fine_grid(self):
-        model = StateSpaceModel(0.7, 0.3, 0.0, 1.0)
-        grid = 0.7 * 1.2 + np.linspace(-8 * 0.3, 8 * 0.3, 20001)
-        density = np.exp(transition_logpdf(model, grid, 1.2))
-        assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-6)
+    """Moments of the score of log p(theta_k | theta_{k-1})."""
 
     def test_score_second_moments(self):
         # the squared-score expectations that feed the tracking recursion
