@@ -49,7 +49,7 @@ class BoundTrajectory:
 @dataclass(frozen=True)
 class TransientReport:
     xi: float                   # asymptotic convergence factor
-    k_lambda: int               # empirical, recursion until threshold
+    k_lambda: int               # exact, from the closed-form solution
     k_lambda_ideal: int
     k_lambda_analytic: float    # -lambda / log10(xi), without the offset D
     k_lambda_ideal_analytic: float
@@ -142,20 +142,22 @@ def convergence_factor(model: StateSpaceModel, fbar: float) -> float:
     return float(model.alpha**2 / (model.sigma**2 * u + model.alpha**2) ** 2)
 
 
-def _empirical_k_lambda(model: StateSpaceModel, fbar: float, quality: float,
-                        max_blocks: int = 20_000_000) -> int:
-    """Smallest k >= 1 with |U_k - U| <= 10^-quality |U_0 - U|."""
-    u_star = steady_state(model, fbar)
+def _k_lambda(model: StateSpaceModel, fbar: float, quality: float) -> int:
+    """Smallest k >= 1 with |U_k - U| <= eps |U_0 - U|, eps = 10^-quality.
+
+    By the exact solution (see transient_report) that holds once
+    xi^k <= eps (U_0 - U') / (U - U' + eps (U_0 - U)).
+    """
+    u = steady_state(model, fbar)
+    u_neg = -fbar * model.alpha**2 / (model.sigma**2 * u)
     u0 = 1.0 / model.sigma0**2
-    threshold = 10.0 ** (-quality) * abs(u0 - u_star)
-    u = u0
-    alpha2, sigma2 = model.alpha**2, model.sigma**2
-    for k in range(1, max_blocks + 1):
-        u = 1.0 / (sigma2 + alpha2 / u) + fbar
-        if abs(u - u_star) <= threshold:
-            return k
-    raise ValueError(f"no steady-state entry within {max_blocks} blocks "
-                     f"at quality {quality}")
+    eps = 10.0 ** (-quality)
+    if eps * abs(u0 - u) < np.finfo(float).eps * u:
+        raise ValueError(f"no steady-state entry at quality {quality}: the "
+                         "threshold is below the roundoff of the steady state")
+    x_max = eps * (u0 - u_neg) / (u - u_neg + eps * (u0 - u))
+    k = np.ceil(np.log(x_max) / np.log(convergence_factor(model, fbar)))
+    return max(1, int(k))
 
 
 def transient_report(model: StateSpaceModel, fbar_onebit: float,
@@ -166,8 +168,10 @@ def transient_report(model: StateSpaceModel, fbar_onebit: float,
     matching that base-10 threshold, the asymptotic estimate of the
     duration is -lambda / log10(xi), i.e. -1/log10(xi) blocks per decade
     of error.  The recursion is a linear fractional map with fixed points
-    U > 0 > U' and solves exactly to (U_k - U)/(U_k - U') =
-    xi^k (U_0 - U)/(U_0 - U'), so the empirical K_lambda exceeds the
+    U > 0 > U' = -Fbar alpha^2 / (sigma^2 U) and solves exactly to
+    (U_k - U)/(U_k - U') = xi^k (U_0 - U)/(U_0 - U') (Anderson & Moore,
+    Optimal Filtering, 1979), which gives K_lambda in closed form; a
+    threshold below the roundoff of U is rejected.  K_lambda exceeds the
     estimate by a lambda-independent offset
     D = ln|(U - U')/(U_0 - U')| / |ln xi| plus less than one block of
     rounding; the estimate leaves D out.  The convergence order is
@@ -177,14 +181,13 @@ def transient_report(model: StateSpaceModel, fbar_onebit: float,
         raise ValueError(f"quality exponent must be finite and exceed 1, got {quality}")
     xi = convergence_factor(model, fbar_onebit)
     xi_ideal = convergence_factor(model, fbar_ideal)
-    k_emp = _empirical_k_lambda(model, fbar_onebit, quality)
-    k_emp_ideal = _empirical_k_lambda(model, fbar_ideal, quality)
     root = np.sqrt(model.sigma**2 * fbar_onebit) + model.alpha
     approx = quality / (2.0 * np.log(root)) if root > 1 else np.inf
     cond = slow_evolution_conditions(model, fbar_onebit, fbar_ideal)
     return TransientReport(
         xi=xi,
-        k_lambda=k_emp, k_lambda_ideal=k_emp_ideal,
+        k_lambda=_k_lambda(model, fbar_onebit, quality),
+        k_lambda_ideal=_k_lambda(model, fbar_ideal, quality),
         k_lambda_analytic=float(-quality / np.log10(xi)),
         k_lambda_ideal_analytic=float(-quality / np.log10(xi_ideal)),
         k_lambda_approx=float(approx),

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -113,17 +114,24 @@ def _merged_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+@contextmanager
+def _bad_input():
+    """A ValueError the library raises on the given input becomes exit 2."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _build_scenario(cfg: dict) -> Scenario:
     name = cfg.get("scenario")
     if name is None:
         raise ConfigError("no scenario selected (use --scenario)")
-    try:
+    with _bad_input():
         return builtin_scenario(
             name, snr_db=cfg.get("snr_db"), alpha=cfg.get("alpha"),
             sigma=cfg.get("sigma"), blocks=cfg.get("blocks"),
             particles=cfg.get("particles"), kappa=cfg.get("kappa"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _workers(cfg: dict) -> int:
@@ -154,8 +162,9 @@ def _emit(lines: list, output: str = None) -> None:
 
 def cmd_fisher(cfg: dict) -> int:
     scenario = _build_scenario(cfg)
-    fbar = steady_fbar(scenario, "onebit")
-    fbar_inf = steady_fbar(scenario, "ideal")
+    with _bad_input():
+        fbar = steady_fbar(scenario, "onebit")
+        fbar_inf = steady_fbar(scenario, "ideal")
     lines = ["quantity,value",
              f"fisher_onebit,{_fmt(fbar)}",
              f"fisher_ideal,{_fmt(fbar_inf)}",
@@ -180,11 +189,9 @@ def cmd_bound(cfg: dict) -> int:
     scenario = _build_scenario(cfg)
     if num_blocks is None:
         num_blocks = scenario.blocks
-    try:
+    with _bad_input():
         scale = scenario.unit_scale(cfg.get("unit", scenario.report_unit))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    bt = run_bounds(scenario)
+        bt = run_bounds(scenario)
     lines = ["k,u_inv_sqrt_onebit,u_inv_sqrt_ideal,rho_db"]
     rho_db = db(bt.rho)
     for k in range(num_blocks + 1):
@@ -206,9 +213,10 @@ def cmd_track(cfg: dict) -> int:
         raise ConfigError("trials and realizations must be at least 1")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    result = run_montecarlo(scenario, processes=trials,
-                            realizations=realizations, master_seed=seed,
-                            workers=_workers(cfg))
+    with _bad_input():
+        result = run_montecarlo(scenario, processes=trials,
+                                realizations=realizations, master_seed=seed,
+                                workers=_workers(cfg))
     lines = ["k,rmse_onebit,rmse_ideal,bound_onebit,bound_ideal,discarded"]
     for k in range(result.k.size):
         lines.append(f"{k},{_fmt(result.rmse_onebit[k])},"
@@ -230,7 +238,7 @@ def cmd_sweep(cfg: dict) -> int:
         raise ConfigError("need at least 2 sweep points")
     grid = np.logspace(np.log10(beta_min), np.log10(beta_max), points)
     grid[0], grid[-1] = beta_min, beta_max    # endpoints exactly
-    try:
+    with _bad_input():
         if cfg.get("finite_k") is not None:
             rows = finite_k_loss(scenario, grid, cfg["finite_k"])
             lines = ["beta,k,rho_k_db"]
@@ -239,8 +247,6 @@ def cmd_sweep(cfg: dict) -> int:
             rows = sweep_beta(scenario, grid)
             lines = ["beta,rho_db,psi_db"]
             lines += [f"{_fmt(b)},{_fmt(r)},{_fmt(p)}" for b, r, p in rows]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     _emit(lines, cfg.get("output"))
     return 0
 
@@ -248,13 +254,11 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_transient(cfg: dict) -> int:
     scenario = _build_scenario(cfg)
     quality = cfg.get("lambda", 3.0)
-    fbar = steady_fbar(scenario, "onebit")
-    fbar_inf = steady_fbar(scenario, "ideal")
-    try:
+    with _bad_input():
+        fbar = steady_fbar(scenario, "onebit")
+        fbar_inf = steady_fbar(scenario, "ideal")
         report = transient_report(scenario.state, fbar, fbar_inf, quality)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    loss = slow_evolution_loss(fbar, fbar_inf, scenario.state)
+        loss = slow_evolution_loss(fbar, fbar_inf, scenario.state)
     lines = ["quantity,value",
              f"xi,{_fmt(report.xi)}",
              "nu,1",                 # order of convergence (linear)

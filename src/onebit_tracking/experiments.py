@@ -49,13 +49,13 @@ DEFAULT_REALIZATIONS = 50
 
 
 def _linear_snr(snr_db: float) -> float:
-    """SNR 10^(snr_db/10); it must be a finite positive double."""
+    """SNR 10^(snr_db/10); it must be a finite positive normal double."""
     try:
         snr = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         snr = np.inf
-    if not (np.isfinite(snr) and snr > 0.0):    # NaN fails here too
-        raise ValueError(f"snr_db must give a finite positive SNR, got {snr_db}")
+    if not (np.isfinite(snr) and snr >= np.finfo(float).tiny):    # NaN fails too
+        raise ValueError(f"snr_db must give a finite normal positive SNR, got {snr_db}")
     return snr
 
 
@@ -185,12 +185,19 @@ def steady_fbar(scenario: Scenario, receiver: str) -> float:
 
     Delay scenarios average over the fractional delay (the information
     is exactly chip-periodic in the delay); gain scenarios integrate
-    over the stationary gain distribution N(0, SNR).
+    over the stationary gain distribution N(0, SNR).  Information that
+    overflows (an SNR too large for the waveform) raises ValueError.
     """
     if scenario.kind == "delay":
-        return _delay_average_fbar(scenario, receiver)
-    return expected_fisher(scenario.waveform, scenario.likelihood_gamma,
-                           0.0, scenario.state.stationary_variance, receiver)
+        fbar = _delay_average_fbar(scenario, receiver)
+    else:
+        fbar = float(expected_fisher(
+            scenario.waveform, scenario.likelihood_gamma, 0.0,
+            scenario.state.stationary_variance, receiver))
+    if not np.isfinite(fbar):
+        raise ValueError(f"{receiver} Fisher information is not finite "
+                         f"at snr_db {scenario.snr_db}")
+    return fbar
 
 
 def blockwise_fbar(scenario: Scenario, receiver: str,
@@ -198,18 +205,10 @@ def blockwise_fbar(scenario: Scenario, receiver: str,
     """Per-block expected Fisher information Fbar_k for k = 1..K."""
     if scenario.kind == "delay":
         return np.full(num_blocks, _delay_average_fbar(scenario, receiver))
-    if receiver == "ideal":
-        # the ideal-receiver information is gain-independent
-        value = fisher_ideal(scenario.waveform.eval(0.0),
-                             scenario.likelihood_gamma)
-        return np.full(num_blocks, value)
-    out = np.empty(num_blocks)
-    for k in range(1, num_blocks + 1):
-        mean, var = marginal_moments(scenario.state, k)
-        out[k - 1] = expected_fisher(scenario.waveform,
-                                     scenario.likelihood_gamma,
-                                     mean, var, receiver)
-    return out
+    mean, var = np.transpose([marginal_moments(scenario.state, k)
+                              for k in range(1, num_blocks + 1)])
+    return expected_fisher(scenario.waveform, scenario.likelihood_gamma,
+                           mean, var, receiver)
 
 
 def run_bounds(scenario: Scenario, num_blocks: int = None) -> BoundTrajectory:
@@ -315,6 +314,7 @@ def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
     if processes < 1 or realizations < 1:
         raise ValueError("need at least one trajectory and one realization")
     pf_config = scenario.pf if pf_config is None else pf_config
+    bt = run_bounds(scenario)      # before the trials: bad input fails fast
     args = [(scenario, pf_config, master_seed, p, realizations)
             for p in range(processes)]
     if workers <= 1:
@@ -338,7 +338,6 @@ def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
         raise RuntimeError("every Monte-Carlo trial degenerated")
 
     scale = scenario.report_scale
-    bt = run_bounds(scenario)
     return MonteCarloResult(
         k=np.arange(num_blocks + 1),
         rmse_onebit=scale * np.sqrt(sse_onebit / completed),
@@ -367,13 +366,14 @@ def sweep_beta(scenario_base: Scenario, beta_grid) -> list:
     fb_onebit = expected_fisher(scenario_base.waveform, 1.0, 0.0, snr, "onebit")
     fb_ideal = expected_fisher(scenario_base.waveform, 1.0, 0.0, snr, "ideal")
     psi_db = db(bayes_report(fb_onebit, fb_ideal, 1.0 / snr).psi)
+    if not np.isfinite(psi_db):
+        raise ValueError("Fisher information is not finite at snr_db "
+                         f"{scenario_base.snr_db}")
     rows = []
     for beta in beta_grid:
         alpha = 1.0 - beta
-        sigma = np.sqrt((1.0 - alpha**2) * snr)
-        model = StateSpaceModel(alpha=alpha, sigma=sigma,
-                                mu0=scenario_base.state.mu0,
-                                sigma0=scenario_base.state.sigma0)
+        model = replace(scenario_base.state, alpha=alpha,
+                        sigma=np.sqrt((1.0 - alpha**2) * snr))
         rho = (steady_state(model, fb_onebit)
                / steady_state(model, fb_ideal))
         rows.append((float(beta), float(db(rho)), float(psi_db)))
@@ -395,10 +395,8 @@ def finite_k_loss(scenario_base: Scenario, beta_list, num_blocks: int) -> list:
     rows = []
     for beta in np.asarray(beta_list, dtype=float):
         alpha = 1.0 - beta
-        sigma = np.sqrt((1.0 - alpha**2) * snr)
-        model = StateSpaceModel(alpha=alpha, sigma=sigma,
-                                mu0=scenario_base.state.mu0,
-                                sigma0=scenario_base.state.sigma0)
+        model = replace(scenario_base.state, alpha=alpha,
+                        sigma=np.sqrt((1.0 - alpha**2) * snr))
         scenario = replace(scenario_base, state=model, blocks=num_blocks)
         bt = run_bounds(scenario)
         rho_db = db(bt.rho)

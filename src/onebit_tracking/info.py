@@ -19,7 +19,8 @@ import numpy as np
 from .channel import log_q
 from .signals import WaveformEval
 
-DEFAULT_QUADRATURE_NODES = 33
+# Gauss-Hermite nodes of the expectation over a Gaussian parameter
+QUADRATURE_NODES = 33
 
 
 @dataclass(frozen=True)
@@ -55,29 +56,31 @@ def fisher_ideal(ev: WaveformEval, gamma: float) -> float:
     return float(gamma**2 * np.dot(ev.ds_dtheta, ev.ds_dtheta))
 
 
-def expected_fisher(waveform, gamma: float, mean: float, var: float,
-                    receiver: str = "onebit",
-                    nodes: int = DEFAULT_QUADRATURE_NODES) -> float:
-    """E[F(theta)] for theta ~ N(mean, var), by Gauss-Hermite quadrature.
+def expected_fisher(waveform, gamma: float, mean, var,
+                    receiver: str = "onebit") -> np.ndarray:
+    """E[F(theta)] for theta ~ N(mean, var) on a linear-gain pilot.
 
-    var = 0 degenerates to a point evaluation at the mean.
+    mean and var hold one entry per block; the Gauss-Hermite nodes of all
+    blocks form one array.  With s = theta p, the 1-bit summands see the
+    pilot only through its distinct nonzero magnitudes and their counts;
+    the ideal receiver's gamma^2 p.p does not depend on theta.
     """
-    if not (np.isfinite(mean) and np.isfinite(var)):
+    mean, var = np.asarray(mean, dtype=float), np.asarray(var, dtype=float)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
         raise ValueError("distribution moments must be finite")
-    if var < 0:
-        raise ValueError(f"variance must be nonnegative, got {var}")
-    if receiver == "onebit":
-        fisher = fisher_onebit
-    elif receiver == "ideal":
-        fisher = fisher_ideal
-    else:
+    if np.any(var < 0):
+        raise ValueError("variance must be nonnegative")
+    pilot = waveform.pilot
+    if receiver == "ideal":
+        return np.full(np.broadcast(mean, var).shape,
+                       gamma**2 * np.dot(pilot, pilot))
+    if receiver != "onebit":
         raise ValueError(f"unknown receiver {receiver!r}")
-    if var == 0.0:
-        return fisher(waveform.eval(mean), gamma)
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    thetas = mean + np.sqrt(2.0 * var) * x
-    values = [fisher(waveform.eval(t), gamma) for t in thetas]
-    return float(np.dot(w, values) / np.sqrt(np.pi))
+    values, counts = np.unique(np.abs(pilot[pilot != 0]), return_counts=True)
+    x, w = np.polynomial.hermite.hermgauss(QUADRATURE_NODES)
+    thetas = mean[..., None] + np.sqrt(2.0 * var)[..., None] * x
+    fisher = onebit_summands(thetas[..., None] * values, values, gamma) @ counts
+    return fisher @ w / np.sqrt(np.pi)
 
 
 def bayes_report(fbar_onebit: float, fbar_ideal: float, j_prior: float) -> BayesReport:

@@ -29,6 +29,18 @@ def dmatrix_recursion(model, fbar, num_blocks):
     return u
 
 
+def scanned_k_lambda(model, fbar, quality, max_blocks=1_000_000):
+    """Oracle: run the recursion until |U_k - U| <= 10^-quality |U_0 - U|."""
+    u_star = steady_state(model, fbar)
+    u = 1.0 / model.sigma0**2
+    threshold = 10.0 ** (-quality) * abs(u - u_star)
+    for k in range(1, max_blocks + 1):
+        u = 1.0 / (model.sigma**2 + model.alpha**2 / u) + fbar
+        if abs(u - u_star) <= threshold:
+            return k
+    raise AssertionError(f"no steady-state entry within {max_blocks} blocks")
+
+
 def random_model(rng):
     return StateSpaceModel(alpha=rng.uniform(0.0, 0.999999),
                            sigma=10.0 ** rng.uniform(-4, 1),
@@ -177,15 +189,22 @@ class TestTransient:
 
     @pytest.mark.parametrize("name", ["ranging", "uwb", "mobile"])
     def test_duration_equals_mobius_closed_form(self, name):
+        # and equals the direct scan of the recursion
         scenario = builtin_scenario(name)
         fbar = steady_fbar(scenario, "onebit")
         fbar_inf = steady_fbar(scenario, "ideal")
         for quality in (1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0):
             report = transient_report(scenario.state, fbar, fbar_inf, quality)
-            assert report.k_lambda == mobius.k_lambda(
-                scenario.state, fbar, quality)
-            assert report.k_lambda_ideal == mobius.k_lambda(
-                scenario.state, fbar_inf, quality)
+            for k, f in ((report.k_lambda, fbar),
+                         (report.k_lambda_ideal, fbar_inf)):
+                assert k == mobius.k_lambda(scenario.state, f, quality)
+                assert k == scanned_k_lambda(scenario.state, f, quality)
+
+    def test_threshold_below_roundoff_rejected(self):
+        # 10^-20 |U_0 - U| is far below the spacing of doubles near U
+        model = StateSpaceModel(0.999, 0.001, 0.0, 0.5)
+        with pytest.raises(ValueError, match="roundoff"):
+            transient_report(model, 20.0, 30.0, quality=20.0)
 
     def test_delta_ordering(self):
         model = StateSpaceModel(1 - 1e-6, 1e-4, 0.0, 0.1)

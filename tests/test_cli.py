@@ -5,6 +5,9 @@ import pytest
 
 from onebit_tracking.cli import (_COMMANDS, _PARAMS, _build_parser,
                                  _merged_config, main)
+from onebit_tracking.experiments import builtin_scenario, steady_fbar
+
+import mobius
 
 
 def run(capsys, *argv):
@@ -139,6 +142,18 @@ class TestTransient:
         assert int(values["nu"]) == 1
         assert float(values["xi"]) < 1.0
 
+    def test_threshold_beyond_the_old_scan_cap(self, capsys):
+        # 10^-14.5 |U_0 - U| lies just above the roundoff of U: iterating
+        # the recursion does not meet it, the closed form answers exactly
+        code, out, _ = run(capsys, "transient", "--scenario", "ranging",
+                           "--lambda", "14.5")
+        assert code == 0
+        values = dict(line.split(",") for line in out.strip().split("\n")[1:])
+        scenario = builtin_scenario("ranging")
+        for key, receiver in (("k_lambda", "onebit"), ("k_lambda_ideal", "ideal")):
+            fbar = steady_fbar(scenario, receiver)
+            assert int(values[key]) == mobius.k_lambda(scenario.state, fbar, 14.5)
+
 
 class TestConfigHandling:
     def test_config_file(self, tmp_path, capsys):
@@ -236,9 +251,19 @@ class TestBadNumbers:
         ("fisher", "--scenario", "ranging", "--snr-db", "6000"),
         ("track", "--scenario", "uwb", "--seed", "-1"),
         ("sweep", "--scenario", "mobile", "--finite-k", "0"),
+        ("fisher", "--scenario", "ranging", "--snr-db", "3000"),
+        ("bound", "--scenario", "ranging", "--snr-db", "3000"),
+        ("track", "--scenario", "ranging", "--snr-db", "3000", "--trials", "1",
+         "--realizations", "1", "--blocks", "2"),
+        ("transient", "--scenario", "ranging", "--snr-db=-3230"),
+        ("fisher", "--scenario", "ranging", "--snr-db=-3200"),
+        ("sweep", "--scenario", "uwb", "--snr-db", "3078", "--points", "2"),
     ], ids=["sigma-nan", "snr-nan", "snr-inf", "lambda-20", "lambda-nan",
             "unit-chips-on-gain", "snr-overflow", "snr-underflow",
-            "snr-squared-overflow", "seed-negative", "finite-k-0"])
+            "snr-squared-overflow", "seed-negative", "finite-k-0",
+            "fisher-info-overflow", "bound-info-overflow",
+            "track-info-overflow", "transient-snr-subnormal",
+            "fisher-snr-subnormal", "sweep-info-overflow"])
     def test_exit_2_without_output(self, tmp_path, capsys, argv):
         out_file = tmp_path / "out.csv"
         code, out, err = run(capsys, *argv, "--output", str(out_file))

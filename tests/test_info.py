@@ -5,13 +5,27 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.stats import norm
 
+from onebit_tracking.experiments import builtin_scenario
 from onebit_tracking.info import (bayes_report, expected_fisher, fisher_ideal,
                                   fisher_onebit)
-from onebit_tracking.signals import (CodeSequence, WaveformEval,
-                                     generate_gps_ca_code,
+from onebit_tracking.signals import (CodeSequence, LinearGainWaveform,
+                                     WaveformEval, generate_gps_ca_code,
                                      make_delay_waveform, make_pilot_waveform)
+from onebit_tracking.state_space import marginal_moments
 
 TWO_OVER_PI = 2.0 / np.pi
+
+
+def per_node_expected_fisher(waveform, gamma, mean, var, nodes=33):
+    """Oracle: Gauss-Hermite quadrature of fisher_onebit, one node at a time.
+
+    Evaluates the waveform and the per-sample closed form at every node,
+    so nothing here relies on grouping the pilot by magnitude.
+    """
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    thetas = mean + np.sqrt(2.0 * var) * x
+    values = [fisher_onebit(waveform.eval(t), gamma) for t in thetas]
+    return float(np.dot(w, values) / np.sqrt(np.pi))
 
 
 def brute_force_fisher(s, ds, gamma, h=1e-5):
@@ -110,19 +124,46 @@ class TestExpectedFisher:
         assert value == pytest.approx(n, rel=1e-10)
 
     def test_quadrature_matches_dense_numerical_integral(self):
-        mean, var = 0.2, 0.3
-        thetas = np.linspace(mean - 8 * np.sqrt(var), mean + 8 * np.sqrt(var),
-                             4001)
-        pdf = norm.pdf(thetas, mean, np.sqrt(var))
-        values = [fisher_onebit(self.wf.eval(t), 1.0) for t in thetas]
-        direct = trapezoid(pdf * np.asarray(values), thetas)
-        gh = expected_fisher(self.wf, 1.0, mean, var)
-        assert gh == pytest.approx(direct, rel=1e-6)
+        # the second input is the one the 33- and 66-node rules once
+        # compared; the dense integral checks it without a second rule
+        for mean, var in ((0.2, 0.3), (0.0, 0.5)):
+            thetas = np.linspace(mean - 8 * np.sqrt(var),
+                                 mean + 8 * np.sqrt(var), 4001)
+            pdf = norm.pdf(thetas, mean, np.sqrt(var))
+            values = [fisher_onebit(self.wf.eval(t), 1.0) for t in thetas]
+            direct = trapezoid(pdf * np.asarray(values), thetas)
+            gh = expected_fisher(self.wf, 1.0, mean, var)
+            assert gh == pytest.approx(direct, rel=1e-6)
 
     def test_quadrature_node_doubling_converged(self):
-        a = expected_fisher(self.wf, 1.0, 0.0, 0.5, nodes=33)
-        b = expected_fisher(self.wf, 1.0, 0.0, 0.5, nodes=66)
+        # the 33-node array rule against the per-node rule with twice the nodes
+        a = expected_fisher(self.wf, 1.0, 0.0, 0.5)
+        b = per_node_expected_fisher(self.wf, 1.0, 0.0, 0.5, nodes=66)
         assert a == pytest.approx(b, rel=1e-6)
+
+    def test_array_matches_per_node_quadrature(self):
+        # mobile's block marginals for k = 1..1000, then point evaluations
+        mobile = builtin_scenario("mobile")
+        moments = [marginal_moments(mobile.state, k) for k in range(1, 1001)]
+        moments += [(0.0, 0.0), (0.4, 0.0), (-2.5, 0.0), (30.0, 0.0)]
+        mean, var = np.transpose(moments)
+        got = expected_fisher(mobile.waveform, mobile.likelihood_gamma,
+                              mean, var)
+        want = [per_node_expected_fisher(mobile.waveform, 1.0, m, v)
+                for m, v in moments[:1000]]
+        want += [fisher_onebit(mobile.waveform.eval(m), 1.0)
+                 for m, _ in moments[1000:]]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_pilot_with_several_magnitudes(self):
+        # groups of equal magnitude, both signs, and zeros
+        pilot = np.array([0.0, 1.0, -1.0, 2.0, -0.5, 0.5, 0.0, -2.0, 1.0, 0.5])
+        wf = LinearGainWaveform(pilot / np.sqrt(np.mean(pilot**2)))
+        mean, var = np.array([0.0, 0.3, -1.2]), np.array([0.5, 2.0, 0.01])
+        got = expected_fisher(wf, 0.7, mean, var)
+        want = [per_node_expected_fisher(wf, 0.7, m, v)
+                for m, v in zip(mean, var)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
