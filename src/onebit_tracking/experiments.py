@@ -188,23 +188,30 @@ def steady_fbar(scenario: Scenario, receiver: str) -> float:
     over the stationary gain distribution N(0, SNR).  Information that
     overflows (an SNR too large for the waveform) raises ValueError.
     """
-    if scenario.kind == "delay":
-        fbar = _delay_average_fbar(scenario, receiver)
-    else:
-        fbar = float(expected_fisher(
-            scenario.waveform, scenario.likelihood_gamma, 0.0,
-            scenario.state.stationary_variance, receiver))
+    # overflow is reported by the finiteness check below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scenario.kind == "delay":
+            fbar = _delay_average_fbar(scenario, receiver)
+        else:
+            fbar = float(expected_fisher(
+                scenario.waveform, scenario.likelihood_gamma, 0.0,
+                scenario.state.stationary_variance, receiver))
     if not np.isfinite(fbar):
         raise ValueError(f"{receiver} Fisher information is not finite "
                          f"at snr_db {scenario.snr_db}")
     return fbar
 
 
-def blockwise_fbar(scenario: Scenario, receiver: str,
-                   num_blocks: int) -> np.ndarray:
-    """Per-block expected Fisher information Fbar_k for k = 1..K."""
+def blockwise_fbar(scenario: Scenario, receiver: str, num_blocks: int,
+                   steady: float) -> np.ndarray:
+    """Per-block expected Fisher information Fbar_k for k = 1..K.
+
+    On delay scenarios the information is the same for every delay
+    distribution, so each block takes the stationary value ``steady``
+    (``steady_fbar``) instead of recomputing it.
+    """
     if scenario.kind == "delay":
-        return np.full(num_blocks, _delay_average_fbar(scenario, receiver))
+        return np.full(num_blocks, steady)
     mean, var = np.transpose([marginal_moments(scenario.state, k)
                               for k in range(1, num_blocks + 1)])
     return expected_fisher(scenario.waveform, scenario.likelihood_gamma,
@@ -214,15 +221,15 @@ def blockwise_fbar(scenario: Scenario, receiver: str,
 def run_bounds(scenario: Scenario, num_blocks: int = None) -> BoundTrajectory:
     """Tracking-bound trajectories for both receivers, in theta units."""
     k = scenario.blocks if num_blocks is None else num_blocks
+    fbar = steady_fbar(scenario, "onebit")
+    fbar_inf = steady_fbar(scenario, "ideal")
     bt = bound_trajectory(scenario.state,
-                          blockwise_fbar(scenario, "onebit", k),
-                          blockwise_fbar(scenario, "ideal", k), k)
+                          blockwise_fbar(scenario, "onebit", k, fbar),
+                          blockwise_fbar(scenario, "ideal", k, fbar_inf), k)
     # replace the last-block steady proxy by the true stationary value
     return replace(bt,
-                   steady_onebit=steady_state(scenario.state,
-                                              steady_fbar(scenario, "onebit")),
-                   steady_ideal=steady_state(scenario.state,
-                                             steady_fbar(scenario, "ideal")))
+                   steady_onebit=steady_state(scenario.state, fbar),
+                   steady_ideal=steady_state(scenario.state, fbar_inf))
 
 
 @dataclass(frozen=True)
@@ -363,9 +370,11 @@ def sweep_beta(scenario_base: Scenario, beta_grid) -> list:
     if np.any((beta_grid <= 0) | (beta_grid > 1)):
         raise ValueError("beta values must lie in (0, 1]")
     snr = scenario_base.snr
-    fb_onebit = expected_fisher(scenario_base.waveform, 1.0, 0.0, snr, "onebit")
-    fb_ideal = expected_fisher(scenario_base.waveform, 1.0, 0.0, snr, "ideal")
-    psi_db = db(bayes_report(fb_onebit, fb_ideal, 1.0 / snr).psi)
+    # overflow is reported by the finiteness check below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        fb_onebit = expected_fisher(scenario_base.waveform, 1.0, 0.0, snr, "onebit")
+        fb_ideal = expected_fisher(scenario_base.waveform, 1.0, 0.0, snr, "ideal")
+        psi_db = db(bayes_report(fb_onebit, fb_ideal, 1.0 / snr).psi)
     if not np.isfinite(psi_db):
         raise ValueError("Fisher information is not finite at snr_db "
                          f"{scenario_base.snr_db}")

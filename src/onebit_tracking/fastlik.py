@@ -12,8 +12,9 @@ with the even/odd parts ge(a) = (log Q(-a) + log Q(a))/2 and
 go(a) = (log Q(-a) - log Q(a))/2 of log Q(-a) (valid because r_n is
 +-1).  Both terms are periodic functions of the delay; the correlation
 term is evaluated for all particles at once from one length-N FFT of
-the signs, a pointwise spectral product against a precomputed
-oversampled table, and one inverse FFT, followed by cubic
+the signs, a pointwise product against the precomputed spectra of the
+M polyphase components of the oversampled table, and M batched
+length-N inverse FFTs (one per fractional lag), followed by cubic
 interpolation.  The ideal-receiver likelihood reduces to the classical
 correlation gamma * y^T s(th) plus constants.
 
@@ -50,18 +51,24 @@ class _DelayCorrelator:
     """Shared spectral plumbing for the delay-waveform likelihoods."""
 
     def __init__(self, waveform: DelayWaveform, table: np.ndarray):
-        self.table_spectrum_conj = np.conj(np.fft.fft(table))
+        m = DEFAULT_OVERSAMPLING
+        n = table.size // m
+        # Polyphase columns P[i, q] = table[(i*M - q) mod MN], as spectra
+        phases = table[(np.arange(n)[:, None] * m - np.arange(m)) % table.size]
+        self.phase_spectra_conj = np.conj(np.fft.fft(phases, axis=0))
         # theta -> fine-grid index; one fine step is T_s / oversampling
-        self.pos_scale = DEFAULT_OVERSAMPLING * waveform.sample_rate
+        self.pos_scale = m * waveform.sample_rate
 
     def correlate(self, block: np.ndarray) -> np.ndarray:
         """C(j) = sum_n block_n * table[(n*M - j) mod MN] for all fine lags j.
 
-        The zero-stuffed block spectrum is the length-N FFT tiled M
-        times, so only one small FFT touches per-block data.
+        Lag j = a*M + q is lag a of the length-N circular correlation of
+        the block with polyphase column q, so one length-N FFT of the
+        block and M batched length-N inverse FFTs give all M*N lags,
+        laid out (N, M) so that the flattened buffer is in lag order.
         """
-        spec = np.tile(np.fft.fft(block), DEFAULT_OVERSAMPLING)
-        return np.fft.ifft(spec * self.table_spectrum_conj).real
+        spec = np.fft.fft(block)[:, None] * self.phase_spectra_conj
+        return np.fft.ifft(spec, axis=0).ravel().real
 
 
 class OneBitDelayLikelihood:

@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import onebit_tracking
 from onebit_tracking.cli import (_COMMANDS, _PARAMS, _build_parser,
                                  _merged_config, main)
 from onebit_tracking.experiments import builtin_scenario, steady_fbar
@@ -269,4 +273,23 @@ class TestBadNumbers:
         code, out, err = run(capsys, *argv, "--output", str(out_file))
         assert code == 2
         assert err.startswith("error: ")
+        assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("fisher", "--scenario", "ranging", "--snr-db", "3000"),
+        ("sweep", "--scenario", "uwb", "--snr-db", "3078", "--points", "2"),
+    ], ids=["fisher-info-overflow", "sweep-info-overflow"])
+    def test_overflow_leaves_only_the_error_line_on_stderr(self, tmp_path, capfd,
+                                                            argv):
+        # a fresh interpreter, so numpy's warnings reach fd 2 as they would
+        # from the command line instead of pytest's warning capture
+        src = os.path.dirname(os.path.dirname(onebit_tracking.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONWARNINGS", None)
+        out_file = tmp_path / "out.csv"
+        proc = subprocess.run([sys.executable, "-m", "onebit_tracking.cli",
+                               *argv, "--output", str(out_file)], env=env)
+        out, err = capfd.readouterr()
+        assert proc.returncode == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
         assert out == "" and not out_file.exists()

@@ -3,13 +3,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from onebit_tracking.channel import (NoiseModel, loglik_ideal, loglik_onebit,
-                                     sign_bit)
-from onebit_tracking.fastlik import (IdealDelayLikelihood,
+from onebit_tracking.channel import (NoiseModel, log_q, loglik_ideal,
+                                     loglik_onebit, sign_bit)
+from onebit_tracking.fastlik import (DEFAULT_OVERSAMPLING,
+                                     IdealDelayLikelihood,
                                      IdealLinearLikelihood,
                                      OneBitDelayLikelihood,
-                                     OneBitLinearLikelihood, make_likelihood,
-                                     periodic_cubic_interp)
+                                     OneBitLinearLikelihood, _DelayCorrelator,
+                                     make_likelihood, periodic_cubic_interp)
 from onebit_tracking.signals import (CodeSequence, generate_gps_ca_code,
                                      make_delay_waveform, make_pilot_waveform)
 
@@ -99,6 +100,57 @@ class TestDelayLikelihoods:
         grid = theta + tc * np.linspace(-5, 5, 201)
         values = lik(obs.ideal, grid)
         assert abs(grid[np.argmax(values)] - theta) < 0.5 * tc
+
+
+def correlation_sum(block, table, lags):
+    """Oracle: C(j) = sum_n b_n table[(n*M - j) mod MN], one lag at a time."""
+    n_m = np.arange(block.size) * DEFAULT_OVERSAMPLING
+    return np.array([sum(b * t for b, t in
+                         zip(block, table[(n_m - j) % table.size]))
+                     for j in lags])
+
+
+def tiled_fft_correlation(block, table):
+    """Oracle for all M*N lags: the length-N block spectrum tiled M times
+    (the spectrum of the zero-stuffed block) against the length-MN table
+    spectrum, and one length-MN inverse FFT."""
+    spec = np.tile(np.fft.fft(block), DEFAULT_OVERSAMPLING)
+    return np.fft.ifft(spec * np.conj(np.fft.fft(table))).real
+
+
+class TestDelayCorrelator:
+    """The polyphase correlator against its definition and the tiled FFT."""
+
+    @pytest.fixture(scope="class", params=["onebit-odd", "ideal"])
+    def case(self, request, delay_setup):
+        wf, gamma, _, obs = delay_setup
+        fine = wf.baseband_table(DEFAULT_OVERSAMPLING)
+        if request.param == "onebit-odd":
+            table = 0.5 * (log_q(-gamma * fine) - log_q(gamma * fine))
+            block = obs.onebit
+        else:
+            table, block = fine, obs.ideal
+        corr = _DelayCorrelator(wf, table)
+        return table, block, corr.correlate(block)
+
+    def test_returns_every_fine_lag(self, case, delay_setup):
+        table, block, out = case
+        assert block.size == delay_setup[0].samples_per_block
+        assert out.shape == (DEFAULT_OVERSAMPLING * block.size,) == table.shape
+
+    def test_matches_direct_sum(self, case):
+        table, block, out = case
+        m, mn = DEFAULT_OVERSAMPLING, table.size
+        rng = np.random.default_rng(5)
+        lags = np.concatenate([[0, 1, m - 1, m, mn - 1],
+                               rng.integers(0, mn, 32)])
+        np.testing.assert_allclose(out[lags], correlation_sum(block, table, lags),
+                                   rtol=0, atol=1e-12)
+
+    def test_matches_tiled_length_mn_fft(self, case):
+        table, block, out = case
+        np.testing.assert_allclose(out, tiled_fft_correlation(block, table),
+                                   rtol=0, atol=1e-12)
 
 
 class TestLinearLikelihoods:
