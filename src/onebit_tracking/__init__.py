@@ -7,9 +7,8 @@ satellite-ranging and channel-gain scenarios.  Everything else is
 imported from its submodule.
 """
 
-from .bounds import (BoundTrajectory, TransientReport, bound_recursion,
-                     bound_trajectory, db, slow_evolution_loss, steady_state,
-                     transient_report)
+from .bounds import (BoundTrajectory, TransientReport, bound_recursion, db,
+                     slow_evolution_loss, steady_state, transient_report)
 from .channel import loglik_ideal, loglik_onebit
 from .experiments import (MonteCarloResult, Scenario, builtin_scenario,
                           finite_k_loss, run_bounds, run_montecarlo,
@@ -26,12 +25,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundTrajectory", "CodeSequence", "DegenerateCloudError",
-    "MonteCarloResult", "ParticleCloud", "ParticleFilterConfig", "Scenario",
-    "StateSpaceModel", "TransientReport", "bayes_report", "bound_recursion",
-    "bound_trajectory", "builtin_scenario", "db", "expected_fisher",
-    "finite_k_loss", "fisher_ideal", "fisher_onebit", "generate_gps_ca_code",
-    "loglik_ideal", "loglik_onebit", "make_delay_waveform",
-    "make_likelihood", "make_pilot_waveform", "pf_init", "pf_step",
-    "run_bounds", "run_montecarlo", "slow_evolution_loss", "steady_fbar",
-    "steady_state", "sweep_beta", "transient_report",
+    "MonteCarloResult", "ParticleCloud", "ParticleFilterConfig",
+    "Scenario", "StateSpaceModel", "TransientReport", "bayes_report",
+    "bound_recursion", "builtin_scenario", "db", "expected_fisher",
+    "finite_k_loss", "fisher_ideal", "fisher_onebit",
+    "generate_gps_ca_code", "loglik_ideal", "loglik_onebit",
+    "make_delay_waveform", "make_likelihood", "make_pilot_waveform",
+    "pf_init", "pf_step", "run_bounds", "run_montecarlo",
+    "slow_evolution_loss", "steady_fbar", "steady_state", "sweep_beta",
+    "transient_report",
 ]

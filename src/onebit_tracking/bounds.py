@@ -64,18 +64,16 @@ class TransientReport:
 
 
 def bound_recursion(model: StateSpaceModel, fbar,
-                    num_blocks: int = None) -> np.ndarray:
+                    num_blocks: int) -> np.ndarray:
     """Run the information recursion; returns U_0 .. U_K (length K+1).
 
     fbar may be a scalar (stationary expected Fisher information) or a
     length-K sequence of per-block values Fbar_k for k = 1..K.
     """
-    fbar = np.atleast_1d(np.asarray(fbar, dtype=float))
-    if num_blocks is None:
-        num_blocks = fbar.size
-    if fbar.size == 1:
-        fbar = np.full(num_blocks, fbar[0])
-    if fbar.size != num_blocks:
+    if np.ndim(fbar) == 0:
+        fbar = np.full(num_blocks, fbar, dtype=float)
+    fbar = np.asarray(fbar, dtype=float)
+    if fbar.shape != (num_blocks,):
         raise ValueError(f"need {num_blocks} Fbar values, got {fbar.size}")
     if np.any(fbar < 0):
         raise ValueError("Fbar must be nonnegative")
@@ -195,15 +193,3 @@ def transient_report(model: StateSpaceModel, fbar_onebit: float,
         conditions_ok=cond["satisfied"],
     )
 
-
-def bound_trajectory(model: StateSpaceModel, fbar_onebit, fbar_ideal,
-                     num_blocks: int) -> BoundTrajectory:
-    """Bound recursion for both receivers plus their steady states."""
-    fb1 = np.atleast_1d(np.asarray(fbar_onebit, dtype=float))
-    fbi = np.atleast_1d(np.asarray(fbar_ideal, dtype=float))
-    return BoundTrajectory(
-        u_onebit=bound_recursion(model, fb1, num_blocks),
-        u_ideal=bound_recursion(model, fbi, num_blocks),
-        steady_onebit=steady_state(model, float(fb1[-1])),
-        steady_ideal=steady_state(model, float(fbi[-1])),
-    )

@@ -182,19 +182,13 @@ def cmd_fisher(cfg: dict) -> int:
 
 
 def cmd_bound(cfg: dict) -> int:
-    # blocks = 0 is allowed here and emits the initialization row only
-    num_blocks = cfg.get("blocks")
-    if num_blocks is not None and num_blocks == 0:
-        cfg = dict(cfg, blocks=1)
     scenario = _build_scenario(cfg)
-    if num_blocks is None:
-        num_blocks = scenario.blocks
     with _bad_input():
         scale = scenario.unit_scale(cfg.get("unit", scenario.report_unit))
         bt = run_bounds(scenario)
     lines = ["k,u_inv_sqrt_onebit,u_inv_sqrt_ideal,rho_db"]
     rho_db = db(bt.rho)
-    for k in range(num_blocks + 1):
+    for k in range(scenario.blocks + 1):
         lines.append(f"{k},{_fmt(scale / np.sqrt(bt.u_onebit[k]))},"
                      f"{_fmt(scale / np.sqrt(bt.u_ideal[k]))},{_fmt(rho_db[k])}")
     lines.append(f"steady,{_fmt(scale / np.sqrt(bt.steady_onebit))},"

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import BoundTrajectory, bound_trajectory, db, steady_state
+from . import bounds
+from .bounds import BoundTrajectory, db, steady_state
 from .channel import NoiseModel, sign_bit
 from .fastlik import make_likelihood
 from .filters import (DegenerateCloudError, ParticleFilterConfig, pf_init,
@@ -74,8 +75,8 @@ class Scenario:
 
     def __post_init__(self):
         _linear_snr(self.snr_db)
-        if self.blocks < 1:
-            raise ValueError(f"need at least one block, got {self.blocks}")
+        if self.blocks < 0:
+            raise ValueError(f"block count must be nonnegative, got {self.blocks}")
 
     @property
     def kind(self) -> str:
@@ -212,24 +213,25 @@ def blockwise_fbar(scenario: Scenario, receiver: str, num_blocks: int,
     """
     if scenario.kind == "delay":
         return np.full(num_blocks, steady)
-    mean, var = np.transpose([marginal_moments(scenario.state, k)
-                              for k in range(1, num_blocks + 1)])
+    mean, var = marginal_moments(scenario.state, np.arange(1, num_blocks + 1))
     return expected_fisher(scenario.waveform, scenario.likelihood_gamma,
                            mean, var, receiver)
 
 
-def run_bounds(scenario: Scenario, num_blocks: int = None) -> BoundTrajectory:
-    """Tracking-bound trajectories for both receivers, in theta units."""
-    k = scenario.blocks if num_blocks is None else num_blocks
-    fbar = steady_fbar(scenario, "onebit")
-    fbar_inf = steady_fbar(scenario, "ideal")
-    bt = bound_trajectory(scenario.state,
-                          blockwise_fbar(scenario, "onebit", k, fbar),
-                          blockwise_fbar(scenario, "ideal", k, fbar_inf), k)
-    # replace the last-block steady proxy by the true stationary value
-    return replace(bt,
-                   steady_onebit=steady_state(scenario.state, fbar),
-                   steady_ideal=steady_state(scenario.state, fbar_inf))
+def run_bounds(scenario: Scenario) -> BoundTrajectory:
+    """Tracking-bound trajectories for both receivers, in theta units.
+
+    U_0 .. U_K over the scenario's K >= 0 blocks, and the steady states
+    of the stationary information.
+    """
+    k, state = scenario.blocks, scenario.state
+    fbar = {r: steady_fbar(scenario, r) for r in ("onebit", "ideal")}
+    # looked up on the module, where the benchmark tracer wraps it
+    u = {r: bounds.bound_recursion(state, blockwise_fbar(scenario, r, k, f), k)
+         for r, f in fbar.items()}
+    return BoundTrajectory(u_onebit=u["onebit"], u_ideal=u["ideal"],
+                           steady_onebit=steady_state(state, fbar["onebit"]),
+                           steady_ideal=steady_state(state, fbar["ideal"]))
 
 
 @dataclass(frozen=True)
@@ -282,11 +284,8 @@ def _trajectory_worker(scenario: Scenario, pf_config: ParticleFilterConfig,
     model = scenario.state
     num_blocks = scenario.blocks
     theta = sample_trajectory(model, num_blocks, noise.generator((p,)))
-    if scenario.kind == "delay":
-        signals = np.stack([scenario.gamma * scenario.waveform.eval(t).s
-                            for t in theta[1:]])
-    else:
-        signals = theta[1:, None] * scenario.waveform.pilot[None, :]
+    signals = np.stack([scenario.likelihood_gamma * scenario.waveform.signal(t)
+                        for t in theta[1:]])
     lik_onebit = make_likelihood(scenario.waveform,
                                  scenario.likelihood_gamma, "onebit")
     lik_ideal = make_likelihood(scenario.waveform,
@@ -318,8 +317,9 @@ def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
     both receivers' averages and counted.  The result is deterministic
     for a given master_seed, independent of the worker count.
     """
-    if processes < 1 or realizations < 1:
-        raise ValueError("need at least one trajectory and one realization")
+    if processes < 1 or realizations < 1 or scenario.blocks < 1:
+        raise ValueError("need at least one trajectory, one realization "
+                         "and one block")
     pf_config = scenario.pf if pf_config is None else pf_config
     bt = run_bounds(scenario)      # before the trials: bad input fails fast
     args = [(scenario, pf_config, master_seed, p, realizations)
@@ -329,7 +329,6 @@ def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trajectory_worker, *zip(*args)))
-    results.sort(key=lambda item: item[0])
 
     num_blocks = scenario.blocks
     sse_onebit = np.zeros(num_blocks + 1)

@@ -8,8 +8,8 @@ Two waveform families are supported:
   gain, dimensionless).
 
 Both are evaluated on a block grid sampled at f_s = 2B and expose the
-signal vector together with its derivative with respect to the
-parameter.
+signal vector alone (``signal``) and together with its derivative with
+respect to the parameter (``eval``).
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class DelayWaveform:
     def period(self) -> float:
         return self.code.period
 
-    def eval(self, theta: float) -> WaveformEval:
-        """Evaluate s(theta) and ds/dtheta for a delay theta in seconds.
+    def signal(self, theta: float) -> np.ndarray:
+        """Signal samples s(theta) for a delay theta in seconds.
 
         Blocks span exactly one code period, so every block sees the
         same waveform.
@@ -129,7 +129,12 @@ class DelayWaveform:
         if not np.isfinite(theta):
             raise ValueError(f"delay must be finite, got {theta!r}")
         phase = np.exp(-2j * np.pi * self.frequencies * theta)
-        s = np.fft.ifft(self.spectrum * phase).real
+        return np.fft.ifft(self.spectrum * phase).real
+
+    def eval(self, theta: float) -> WaveformEval:
+        """Evaluate s(theta) and ds/dtheta for a delay theta in seconds."""
+        s = self.signal(theta)
+        phase = np.exp(-2j * np.pi * self.frequencies * theta)
         ds = np.fft.ifft(self.spectrum * phase * (-2j * np.pi * self.frequencies)).real
         return WaveformEval(s, ds)
 
@@ -185,10 +190,13 @@ class LinearGainWaveform:
     def samples_per_block(self) -> int:
         return self.pilot.size
 
-    def eval(self, theta: float) -> WaveformEval:
+    def signal(self, theta: float) -> np.ndarray:
         if not np.isfinite(theta):
             raise ValueError(f"gain must be finite, got {theta!r}")
-        return WaveformEval(theta * self.pilot, self.pilot)
+        return theta * self.pilot
+
+    def eval(self, theta: float) -> WaveformEval:
+        return WaveformEval(self.signal(theta), self.pilot)
 
 
 def make_pilot_waveform(code: CodeSequence) -> LinearGainWaveform:

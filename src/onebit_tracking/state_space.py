@@ -32,25 +32,27 @@ class StateSpaceModel:
         return self.sigma**2 / (1.0 - self.alpha**2)
 
 
-def marginal_moments(model: StateSpaceModel, k: int) -> tuple[float, float]:
-    """Closed-form (mean, variance) of theta_k.
+def marginal_moments(model: StateSpaceModel, k):
+    """Closed-form (mean, variance) of theta_k; k may be an array of indices.
 
     mean = alpha^k mu0; var = alpha^(2k) sigma0^2 + sigma^2 (1 - alpha^(2k))
     / (1 - alpha^2).  The geometric sum uses expm1 so that alpha close to
     one (e.g. 1 - 1e-7) keeps full precision.
     """
-    if k < 0:
-        raise ValueError(f"block index must be nonnegative, got {k}")
-    a2k = np.exp(2.0 * k * np.log(model.alpha)) if model.alpha > 0 else (1.0 if k == 0 else 0.0)
-    mean = model.mu0 * np.exp(k * np.log(model.alpha)) if model.alpha > 0 else (model.mu0 if k == 0 else 0.0)
+    k = np.asarray(k)
+    if np.any(k < 0):
+        raise ValueError(f"block indices must be nonnegative, got {k.min()}")
     if model.alpha == 0.0:
-        innov = model.sigma**2 if k >= 1 else 0.0
+        # alpha^k is 1 at k = 0 and 0 after; the geometric sum is 1 - alpha^(2k)
+        ak = a2k = (k == 0) * 1.0
+        innov = model.sigma**2 * (1.0 - a2k)
     else:
+        log_alpha = np.log(model.alpha)
+        ak = np.exp(k * log_alpha)
+        a2k = np.exp(2.0 * k * log_alpha)
         # (1 - alpha^(2k)) / (1 - alpha^2), via expm1 of the log
-        num = -np.expm1(2.0 * k * np.log(model.alpha))
-        den = -np.expm1(2.0 * np.log(model.alpha))
-        innov = model.sigma**2 * num / den
-    return float(mean), float(a2k * model.sigma0**2 + innov)
+        innov = model.sigma**2 * -np.expm1(2.0 * k * log_alpha) / -np.expm1(2.0 * log_alpha)
+    return model.mu0 * ak, a2k * model.sigma0**2 + innov
 
 
 def sample_trajectory(model: StateSpaceModel, num_blocks: int,

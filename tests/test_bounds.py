@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from onebit_tracking.bounds import (bound_recursion, bound_trajectory,
-                                    convergence_factor, db,
+from onebit_tracking.bounds import (bound_recursion, convergence_factor, db,
                                     slow_evolution_conditions,
                                     slow_evolution_loss, steady_state,
                                     transient_report)
@@ -106,6 +105,9 @@ class TestRecursion:
         model = StateSpaceModel(0.9, 0.1, 0.0, 0.5)
         with pytest.raises(ValueError):
             bound_recursion(model, [1.0, 2.0], 3)
+        # only a scalar is broadcast over the blocks
+        with pytest.raises(ValueError):
+            bound_recursion(model, [3.0], 5)
         with pytest.raises(ValueError):
             bound_recursion(model, -1.0, 3)
 
@@ -216,17 +218,6 @@ class TestTransient:
         model = StateSpaceModel(0.9, 0.1, 0.0, 0.5)
         with pytest.raises(ValueError):
             transient_report(model, 1.0, 2.0, quality=1.0)
-
-
-class TestBoundTrajectory:
-    def test_ratio_fields(self):
-        model = StateSpaceModel(0.99, 0.05, 0.0, 1.0)
-        bt = bound_trajectory(model, 5.0, 8.0, 100)
-        assert bt.rho[0] == pytest.approx(1.0)
-        assert bt.rho_steady == pytest.approx(
-            steady_state(model, 5.0) / steady_state(model, 8.0))
-        # one-bit carries less information throughout
-        assert np.all(bt.u_onebit[1:] <= bt.u_ideal[1:])
 
 
 class TestDb:

@@ -71,6 +71,31 @@ class TestBound:
         assert float(rows[0][1]) == pytest.approx(0.05, rel=1e-10)
         assert float(rows[0][2]) == pytest.approx(0.05, rel=1e-10)
 
+    @pytest.mark.parametrize("name", ["ranging", "uwb", "mobile"])
+    def test_zero_blocks_on_every_scenario(self, capsys, name):
+        code, out, _ = run(capsys, "bound", "--scenario", name, "--blocks", "0")
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [r[0] for r in rows] == ["0", "steady"]
+        # the initialization row and the steady footer of a longer run
+        _, longer = csv_rows(run(capsys, "bound", "--scenario", name,
+                                 "--blocks", "3")[1])
+        assert rows == [longer[0], longer[-1]]
+        s = builtin_scenario(name)
+        assert float(rows[0][1]) == pytest.approx(
+            s.report_scale * s.state.sigma0, rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ("fisher", "--scenario", "ranging"),
+        ("transient", "--scenario", "uwb"),
+        ("sweep", "--scenario", "mobile", "--points", "2"),
+        ("sweep", "--scenario", "mobile", "--points", "2", "--finite-k", "3"),
+    ], ids=["fisher", "transient", "sweep", "sweep-finite-k"])
+    def test_commands_without_blocks_accept_zero(self, capsys, argv):
+        code, zero, _ = run(capsys, *argv, "--blocks", "0")
+        assert code == 0
+        assert zero == run(capsys, *argv)[1]
+
     def test_unit_conversion(self, capsys):
         _, sec, _ = run(capsys, "bound", "--scenario", "ranging",
                         "--blocks", "1", "--unit", "seconds")
@@ -262,12 +287,15 @@ class TestBadNumbers:
         ("transient", "--scenario", "ranging", "--snr-db=-3230"),
         ("fisher", "--scenario", "ranging", "--snr-db=-3200"),
         ("sweep", "--scenario", "uwb", "--snr-db", "3078", "--points", "2"),
+        ("track", "--scenario", "uwb", "--blocks", "0"),
+        ("bound", "--scenario", "uwb", "--blocks", "-1"),
     ], ids=["sigma-nan", "snr-nan", "snr-inf", "lambda-20", "lambda-nan",
             "unit-chips-on-gain", "snr-overflow", "snr-underflow",
             "snr-squared-overflow", "seed-negative", "finite-k-0",
             "fisher-info-overflow", "bound-info-overflow",
             "track-info-overflow", "transient-snr-subnormal",
-            "fisher-snr-subnormal", "sweep-info-overflow"])
+            "fisher-snr-subnormal", "sweep-info-overflow", "track-blocks-0",
+            "bound-blocks-negative"])
     def test_exit_2_without_output(self, tmp_path, capsys, argv):
         out_file = tmp_path / "out.csv"
         code, out, err = run(capsys, *argv, "--output", str(out_file))

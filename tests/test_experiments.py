@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from onebit_tracking.bounds import db
+from onebit_tracking.bounds import db, steady_state
 from onebit_tracking.experiments import (SPEED_OF_LIGHT, builtin_scenario,
                                          finite_k_loss, run_bounds,
                                          run_montecarlo, steady_fbar,
@@ -90,6 +90,16 @@ class TestBounds:
         bt = run_bounds(s)
         assert np.all(bt.u_onebit[1:] < bt.u_ideal[1:])
         assert 0 < bt.rho_steady < 1
+
+    @pytest.mark.parametrize("name", ["ranging", "uwb", "mobile"])
+    def test_steady_fields_and_ratio(self, name):
+        s = builtin_scenario(name, blocks=100)
+        bt = run_bounds(s)
+        assert bt.steady_onebit == steady_state(s.state, steady_fbar(s, "onebit"))
+        assert bt.steady_ideal == steady_state(s.state, steady_fbar(s, "ideal"))
+        assert bt.rho[0] == 1.0
+        # one-bit carries less information throughout
+        assert np.all(bt.u_onebit <= bt.u_ideal)
 
     def test_steady_fbar_positive_and_ordered(self):
         for name in ("ranging", "uwb", "mobile"):

@@ -112,6 +112,13 @@ class TestDelayWaveform:
     def test_nonfinite_delay_rejected(self, delay_waveform):
         with pytest.raises(ValueError):
             delay_waveform.eval(np.nan)
+        with pytest.raises(ValueError):
+            delay_waveform.signal(np.inf)
+
+    def test_signal_is_the_eval_signal(self, delay_waveform):
+        theta = 0.37 * delay_waveform.code.chip_duration
+        np.testing.assert_array_equal(delay_waveform.signal(theta),
+                                      delay_waveform.eval(theta).s)
 
 
 class TestPilotWaveform:
@@ -137,6 +144,11 @@ class TestPilotWaveform:
         ev = wf.eval(0.7)
         np.testing.assert_allclose(ev.s, 0.7 * wf.pilot)
         np.testing.assert_allclose(ev.ds_dtheta, wf.pilot)
+        np.testing.assert_array_equal(wf.signal(0.7), ev.s)
+
+    def test_nonfinite_gain_rejected(self):
+        with pytest.raises(ValueError):
+            self.make().signal(np.nan)
 
     def test_rejects_unnormalized_pilot(self):
         from onebit_tracking.signals import LinearGainWaveform

@@ -45,9 +45,31 @@ class TestMarginalMoments:
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert var == pytest.approx(model.stationary_variance, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.99, 1 - 1e-7])
+    def test_array_matches_iteration(self, alpha):
+        model = StateSpaceModel(alpha, 0.05, 2.0, 0.4)
+        k = np.arange(201)
+        mean, var = marginal_moments(model, k)
+        assert mean.shape == var.shape == (201,)
+        mean_it, var_it = np.transpose([self.iterate(model, j) for j in k])
+        np.testing.assert_allclose(mean, mean_it, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(var, var_it, rtol=1e-12)
+
+    def test_scalar_index_gives_scalars(self):
+        mean, var = marginal_moments(StateSpaceModel(0.5, 0.1, 1.0, 1.0), 3)
+        assert np.ndim(mean) == np.ndim(var) == 0
+        assert (mean, var) == pytest.approx(self.iterate(
+            StateSpaceModel(0.5, 0.1, 1.0, 1.0), 3), rel=1e-12)
+
     def test_negative_index(self):
         with pytest.raises(ValueError):
             marginal_moments(StateSpaceModel(0.5, 0.1, 0.0, 1.0), -1)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_negative_entry_in_array(self, alpha):
+        with pytest.raises(ValueError):
+            marginal_moments(StateSpaceModel(alpha, 0.1, 0.0, 1.0),
+                             np.array([0, 3, -2, 5]))
 
 
 class TestSampleTrajectory:
