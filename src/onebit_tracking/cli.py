@@ -202,14 +202,10 @@ def cmd_track(cfg: dict) -> int:
     scenario = _build_scenario(cfg)
     trials = cfg.get("trials", DEFAULT_PROCESSES)
     realizations = cfg.get("realizations", DEFAULT_REALIZATIONS)
-    seed = cfg.get("seed", 0)
-    if trials < 1 or realizations < 1:
-        raise ConfigError("trials and realizations must be at least 1")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
     with _bad_input():
         result = run_montecarlo(scenario, processes=trials,
-                                realizations=realizations, master_seed=seed,
+                                realizations=realizations,
+                                master_seed=cfg.get("seed", 0),
                                 workers=_workers(cfg))
     lines = ["k,rmse_onebit,rmse_ideal,bound_onebit,bound_ideal,discarded"]
     for k in range(result.k.size):

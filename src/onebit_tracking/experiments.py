@@ -34,8 +34,8 @@ from .state_space import StateSpaceModel, marginal_moments, sample_trajectory
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-# fractional delays per chip used to average the delay-dependent Fisher
-# information (exactly periodic in one chip by code cyclicity)
+# fractional delays per chip used to average the delay-dependent 1-bit
+# Fisher information (exactly periodic in one chip by code cyclicity)
 DELAY_AVERAGE_POINTS = 64
 
 # pilot symbols for the gain-tracking scenarios; the circular pair of
@@ -172,66 +172,59 @@ def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
     raise ValueError(f"unknown scenario {name!r}; known: {SCENARIO_NAMES}")
 
 
-def _delay_average_fbar(scenario: Scenario, receiver: str) -> float:
-    """Fisher information averaged over fractional delays within one chip."""
-    fisher = fisher_onebit if receiver == "onebit" else fisher_ideal
-    thetas = (np.arange(DELAY_AVERAGE_POINTS) / DELAY_AVERAGE_POINTS
-              * scenario.chip_duration)
-    values = [fisher(scenario.waveform.eval(t), scenario.gamma) for t in thetas]
-    return float(np.mean(values))
-
-
 def steady_fbar(scenario: Scenario, receiver: str) -> float:
     """Stationary expected Fisher information per block.
 
-    Delay scenarios average over the fractional delay (the information
-    is exactly chip-periodic in the delay); gain scenarios integrate
+    The ideal information gamma^2 ||ds/dtheta||^2 is theta-free on both
+    waveform families (gamma^2 p.p; by Parseval gamma^2 sum |2 pi f X_f|^2
+    / N), so one evaluation gives it.  The 1-bit information averages
+    over the fractional delay (it is exactly chip-periodic) or integrates
     over the stationary gain distribution N(0, SNR).  Information that
     overflows (an SNR too large for the waveform) raises ValueError.
     """
+    if receiver not in ("onebit", "ideal"):
+        raise ValueError(f"unknown receiver {receiver!r}")
     # overflow is reported by the finiteness check below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        if scenario.kind == "delay":
-            fbar = _delay_average_fbar(scenario, receiver)
+        if receiver == "ideal":
+            fbar = fisher_ideal(scenario.waveform.eval(0.0),
+                                scenario.likelihood_gamma)
+        elif scenario.kind == "delay":
+            thetas = (np.arange(DELAY_AVERAGE_POINTS) / DELAY_AVERAGE_POINTS
+                      * scenario.chip_duration)
+            fbar = float(np.mean([fisher_onebit(scenario.waveform.eval(t),
+                                                scenario.gamma)
+                                  for t in thetas]))
         else:
             fbar = float(expected_fisher(
                 scenario.waveform, scenario.likelihood_gamma, 0.0,
-                scenario.state.stationary_variance, receiver))
+                scenario.state.stationary_variance))
     if not np.isfinite(fbar):
         raise ValueError(f"{receiver} Fisher information is not finite "
                          f"at snr_db {scenario.snr_db}")
     return fbar
 
 
-def blockwise_fbar(scenario: Scenario, receiver: str, num_blocks: int,
-                   steady: float) -> np.ndarray:
-    """Per-block expected Fisher information Fbar_k for k = 1..K.
-
-    On delay scenarios the information is the same for every delay
-    distribution, so each block takes the stationary value ``steady``
-    (``steady_fbar``) instead of recomputing it.
-    """
-    if scenario.kind == "delay":
-        return np.full(num_blocks, steady)
-    mean, var = marginal_moments(scenario.state, np.arange(1, num_blocks + 1))
-    return expected_fisher(scenario.waveform, scenario.likelihood_gamma,
-                           mean, var, receiver)
-
-
 def run_bounds(scenario: Scenario) -> BoundTrajectory:
     """Tracking-bound trajectories for both receivers, in theta units.
 
     U_0 .. U_K over the scenario's K >= 0 blocks, and the steady states
-    of the stationary information.
+    of the stationary information.  Every block takes the stationary
+    information except the 1-bit receiver's on a gain scenario, which
+    follows the gain's block marginals.
     """
     k, state = scenario.blocks, scenario.state
-    fbar = {r: steady_fbar(scenario, r) for r in ("onebit", "ideal")}
+    fbar = fbar_k = steady_fbar(scenario, "onebit")
+    fbar_inf = steady_fbar(scenario, "ideal")
+    if scenario.kind == "linear":
+        mean, var = marginal_moments(state, np.arange(1, k + 1))
+        fbar_k = expected_fisher(scenario.waveform, scenario.likelihood_gamma,
+                                 mean, var)
     # looked up on the module, where the benchmark tracer wraps it
-    u = {r: bounds.bound_recursion(state, blockwise_fbar(scenario, r, k, f), k)
-         for r, f in fbar.items()}
-    return BoundTrajectory(u_onebit=u["onebit"], u_ideal=u["ideal"],
-                           steady_onebit=steady_state(state, fbar["onebit"]),
-                           steady_ideal=steady_state(state, fbar["ideal"]))
+    return BoundTrajectory(u_onebit=bounds.bound_recursion(state, fbar_k, k),
+                           u_ideal=bounds.bound_recursion(state, fbar_inf, k),
+                           steady_onebit=steady_state(state, fbar),
+                           steady_ideal=steady_state(state, fbar_inf))
 
 
 @dataclass(frozen=True)
@@ -318,8 +311,10 @@ def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
     for a given master_seed, independent of the worker count.
     """
     if processes < 1 or realizations < 1 or scenario.blocks < 1:
-        raise ValueError("need at least one trajectory, one realization "
-                         "and one block")
+        raise ValueError("trials, realizations and blocks must each be "
+                         "at least 1")
+    if master_seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {master_seed}")
     pf_config = scenario.pf if pf_config is None else pf_config
     bt = run_bounds(scenario)      # before the trials: bad input fails fast
     args = [(scenario, pf_config, master_seed, p, realizations)
@@ -371,8 +366,8 @@ def sweep_beta(scenario_base: Scenario, beta_grid) -> list:
     snr = scenario_base.snr
     # overflow is reported by the finiteness check below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        fb_onebit = expected_fisher(scenario_base.waveform, 1.0, 0.0, snr, "onebit")
-        fb_ideal = expected_fisher(scenario_base.waveform, 1.0, 0.0, snr, "ideal")
+        fb_onebit = expected_fisher(scenario_base.waveform, 1.0, 0.0, snr)
+        fb_ideal = fisher_ideal(scenario_base.waveform.eval(0.0), 1.0)
         psi_db = db(bayes_report(fb_onebit, fb_ideal, 1.0 / snr).psi)
     if not np.isfinite(psi_db):
         raise ValueError("Fisher information is not finite at snr_db "

@@ -56,14 +56,12 @@ def fisher_ideal(ev: WaveformEval, gamma: float) -> float:
     return float(gamma**2 * np.dot(ev.ds_dtheta, ev.ds_dtheta))
 
 
-def expected_fisher(waveform, gamma: float, mean, var,
-                    receiver: str = "onebit") -> np.ndarray:
-    """E[F(theta)] for theta ~ N(mean, var) on a linear-gain pilot.
+def expected_fisher(waveform, gamma: float, mean, var) -> np.ndarray:
+    """1-bit E[F(theta)] for theta ~ N(mean, var) on a linear-gain pilot.
 
     mean and var hold one entry per block; the Gauss-Hermite nodes of all
     blocks form one array.  With s = theta p, the 1-bit summands see the
-    pilot only through its distinct nonzero magnitudes and their counts;
-    the ideal receiver's gamma^2 p.p does not depend on theta.
+    pilot only through its distinct nonzero magnitudes and their counts.
     """
     mean, var = np.asarray(mean, dtype=float), np.asarray(var, dtype=float)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
@@ -71,11 +69,6 @@ def expected_fisher(waveform, gamma: float, mean, var,
     if np.any(var < 0):
         raise ValueError("variance must be nonnegative")
     pilot = waveform.pilot
-    if receiver == "ideal":
-        return np.full(np.broadcast(mean, var).shape,
-                       gamma**2 * np.dot(pilot, pilot))
-    if receiver != "onebit":
-        raise ValueError(f"unknown receiver {receiver!r}")
     values, counts = np.unique(np.abs(pilot[pilot != 0]), return_counts=True)
     x, w = np.polynomial.hermite.hermgauss(QUADRATURE_NODES)
     thetas = mean[..., None] + np.sqrt(2.0 * var)[..., None] * x

@@ -3,12 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from onebit_tracking.bounds import db, steady_state
+from onebit_tracking.bounds import bound_recursion, db, steady_state
 from onebit_tracking.experiments import (SPEED_OF_LIGHT, builtin_scenario,
                                          finite_k_loss, run_bounds,
                                          run_montecarlo, steady_fbar,
                                          sweep_beta)
-from onebit_tracking.info import bayes_report
+from onebit_tracking.info import bayes_report, expected_fisher
+from onebit_tracking.state_space import marginal_moments
 
 
 class TestBuiltinScenarios:
@@ -100,6 +101,20 @@ class TestBounds:
         assert bt.rho[0] == 1.0
         # one-bit carries less information throughout
         assert np.all(bt.u_onebit <= bt.u_ideal)
+
+    def test_mobile_rows_against_recursion_oracle(self):
+        # 1-bit: per-block information of the gain's block marginals;
+        # ideal: the one stationary value on every block
+        s = builtin_scenario("mobile", blocks=60)
+        k = s.blocks
+        mean, var = np.transpose([marginal_moments(s.state, j)
+                                  for j in range(1, k + 1)])
+        fbar = expected_fisher(s.waveform, s.likelihood_gamma, mean, var)
+        bt = run_bounds(s)
+        np.testing.assert_array_equal(bt.u_onebit,
+                                      bound_recursion(s.state, fbar, k))
+        np.testing.assert_array_equal(
+            bt.u_ideal, bound_recursion(s.state, steady_fbar(s, "ideal"), k))
 
     def test_steady_fbar_positive_and_ordered(self):
         for name in ("ranging", "uwb", "mobile"):
@@ -203,3 +218,8 @@ class TestMonteCarlo:
             run_montecarlo(s, processes=0, realizations=1)
         with pytest.raises(ValueError):
             run_montecarlo(s, processes=1, realizations=0)
+
+    def test_rejects_negative_seed(self):
+        s = builtin_scenario("uwb", blocks=5)
+        with pytest.raises(ValueError, match="seed"):
+            run_montecarlo(s, processes=1, realizations=1, master_seed=-1)

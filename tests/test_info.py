@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.stats import norm
 
-from onebit_tracking.experiments import builtin_scenario
+from onebit_tracking.experiments import builtin_scenario, steady_fbar
 from onebit_tracking.info import (bayes_report, expected_fisher, fisher_ideal,
                                   fisher_onebit)
 from onebit_tracking.signals import (CodeSequence, LinearGainWaveform,
@@ -118,11 +118,6 @@ class TestExpectedFisher:
         point = fisher_onebit(self.wf.eval(0.4), 1.0)
         assert expected_fisher(self.wf, 1.0, 0.4, 0.0) == pytest.approx(point)
 
-    def test_ideal_receiver_is_gain_independent(self):
-        n = self.wf.samples_per_block
-        value = expected_fisher(self.wf, 1.0, 0.3, 0.5, receiver="ideal")
-        assert value == pytest.approx(n, rel=1e-10)
-
     def test_quadrature_matches_dense_numerical_integral(self):
         # the second input is the one the 33- and 66-node rules once
         # compared; the dense integral checks it without a second rule
@@ -170,8 +165,27 @@ class TestExpectedFisher:
             expected_fisher(self.wf, 1.0, 0.0, -1.0)
         with pytest.raises(ValueError):
             expected_fisher(self.wf, 1.0, np.nan, 1.0)
-        with pytest.raises(ValueError):
-            expected_fisher(self.wf, 1.0, 0.0, 1.0, receiver="analog")
+
+
+class TestSteadyIdeal:
+    def test_ideal_information_is_one_theta_free_value(self):
+        # gain pilots: gamma^2 p.p, exactly
+        for name in ("uwb", "mobile"):
+            s = builtin_scenario(name)
+            pilot = s.waveform.pilot
+            assert steady_fbar(s, "ideal") == (s.likelihood_gamma**2
+                                               * np.dot(pilot, pilot))
+        # delay waveform: Parseval, gamma^2 sum |2 pi f X_f|^2 / N
+        s = builtin_scenario("ranging")
+        wf = s.waveform
+        parseval = (s.likelihood_gamma**2
+                    * np.sum(np.abs(2 * np.pi * wf.frequencies * wf.spectrum)**2)
+                    / wf.samples_per_block)
+        assert steady_fbar(s, "ideal") == pytest.approx(parseval, rel=1e-14, abs=0)
+
+    def test_unknown_receiver_rejected(self):
+        with pytest.raises(ValueError, match="analog"):
+            steady_fbar(builtin_scenario("mobile"), "analog")
 
 
 class TestBayesReport:
