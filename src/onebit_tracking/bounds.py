@@ -30,20 +30,19 @@ def db(ratio) -> float:
 
 @dataclass(frozen=True)
 class BoundTrajectory:
-    """Per-block tracking information for the 1-bit and ideal receivers."""
+    """Per-block tracking information U_0 .. U_K and its steady state,
+    one row per receiver: 1-bit first, ideal second."""
 
-    u_onebit: np.ndarray
-    u_ideal: np.ndarray
-    steady_onebit: float
-    steady_ideal: float
+    u: np.ndarray               # (2, K+1)
+    steady: np.ndarray          # (2,)
 
     @property
     def rho(self) -> np.ndarray:
-        return self.u_onebit / self.u_ideal
+        return self.u[0] / self.u[1]
 
     @property
     def rho_steady(self) -> float:
-        return self.steady_onebit / self.steady_ideal
+        return float(self.steady[0] / self.steady[1])
 
 
 @dataclass(frozen=True)

@@ -163,8 +163,7 @@ def _emit(lines: list, output: str = None) -> None:
 def cmd_fisher(cfg: dict) -> int:
     scenario = _build_scenario(cfg)
     with _bad_input():
-        fbar = steady_fbar(scenario, "onebit")
-        fbar_inf = steady_fbar(scenario, "ideal")
+        fbar, fbar_inf = steady_fbar(scenario)
     lines = ["quantity,value",
              f"fisher_onebit,{_fmt(fbar)}",
              f"fisher_ideal,{_fmt(fbar_inf)}",
@@ -187,13 +186,11 @@ def cmd_bound(cfg: dict) -> int:
         scale = scenario.unit_scale(cfg.get("unit", scenario.report_unit))
         bt = run_bounds(scenario)
     lines = ["k,u_inv_sqrt_onebit,u_inv_sqrt_ideal,rho_db"]
-    rho_db = db(bt.rho)
-    for k in range(scenario.blocks + 1):
-        lines.append(f"{k},{_fmt(scale / np.sqrt(bt.u_onebit[k]))},"
-                     f"{_fmt(scale / np.sqrt(bt.u_ideal[k]))},{_fmt(rho_db[k])}")
-    lines.append(f"steady,{_fmt(scale / np.sqrt(bt.steady_onebit))},"
-                 f"{_fmt(scale / np.sqrt(bt.steady_ideal))},"
-                 f"{_fmt(db(bt.rho_steady))}")
+    columns = np.vstack([scale / np.sqrt(bt.u), db(bt.rho)])
+    lines += [f"{k}," + ",".join(map(_fmt, row))
+              for k, row in enumerate(columns.T)]
+    steady = [*(scale / np.sqrt(bt.steady)), db(bt.rho_steady)]
+    lines.append("steady," + ",".join(map(_fmt, steady)))
     _emit(lines, cfg.get("output"))
     return 0
 
@@ -208,11 +205,9 @@ def cmd_track(cfg: dict) -> int:
                                 master_seed=cfg.get("seed", 0),
                                 workers=_workers(cfg))
     lines = ["k,rmse_onebit,rmse_ideal,bound_onebit,bound_ideal,discarded"]
-    for k in range(result.k.size):
-        lines.append(f"{k},{_fmt(result.rmse_onebit[k])},"
-                     f"{_fmt(result.rmse_ideal[k])},"
-                     f"{_fmt(result.bound_onebit[k])},"
-                     f"{_fmt(result.bound_ideal[k])},{result.discarded}")
+    columns = np.vstack([result.rmse, result.bound])
+    lines += [f"{k}," + ",".join(map(_fmt, row)) + f",{result.discarded}"
+              for k, row in enumerate(columns.T)]
     _emit(lines, cfg.get("output"))
     return 3 if result.discarded > 0 else 0
 
@@ -245,8 +240,7 @@ def cmd_transient(cfg: dict) -> int:
     scenario = _build_scenario(cfg)
     quality = cfg.get("lambda", 3.0)
     with _bad_input():
-        fbar = steady_fbar(scenario, "onebit")
-        fbar_inf = steady_fbar(scenario, "ideal")
+        fbar, fbar_inf = steady_fbar(scenario)
         report = transient_report(scenario.state, fbar, fbar_inf, quality)
         loss = slow_evolution_loss(fbar, fbar_inf, scenario.state)
     lines = ["quantity,value",

@@ -44,6 +44,10 @@ _PILOT_SYMBOLS = (1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0)
 
 SCENARIO_NAMES = ("ranging", "uwb", "mobile")
 
+# the receiver axis of every per-receiver array: row 0 sees only the
+# sample signs, row 1 the unquantized samples
+RECEIVERS = ("onebit", "ideal")
+
 # desk-scale Monte-Carlo size: trajectories P x noise realizations R
 DEFAULT_PROCESSES = 20
 DEFAULT_REALIZATIONS = 50
@@ -172,8 +176,8 @@ def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
     raise ValueError(f"unknown scenario {name!r}; known: {SCENARIO_NAMES}")
 
 
-def steady_fbar(scenario: Scenario, receiver: str) -> float:
-    """Stationary expected Fisher information per block.
+def steady_fbar(scenario: Scenario) -> np.ndarray:
+    """Stationary expected Fisher information per block, 1-bit then ideal.
 
     The ideal information gamma^2 ||ds/dtheta||^2 is theta-free on both
     waveform families (gamma^2 p.p; by Parseval gamma^2 sum |2 pi f X_f|^2
@@ -182,25 +186,21 @@ def steady_fbar(scenario: Scenario, receiver: str) -> float:
     over the stationary gain distribution N(0, SNR).  Information that
     overflows (an SNR too large for the waveform) raises ValueError.
     """
-    if receiver not in ("onebit", "ideal"):
-        raise ValueError(f"unknown receiver {receiver!r}")
     # overflow is reported by the finiteness check below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        if receiver == "ideal":
-            fbar = fisher_ideal(scenario.waveform.eval(0.0),
-                                scenario.likelihood_gamma)
-        elif scenario.kind == "delay":
+        if scenario.kind == "delay":
             thetas = (np.arange(DELAY_AVERAGE_POINTS) / DELAY_AVERAGE_POINTS
                       * scenario.chip_duration)
-            fbar = float(np.mean([fisher_onebit(scenario.waveform.eval(t),
-                                                scenario.gamma)
-                                  for t in thetas]))
+            onebit = np.mean([fisher_onebit(scenario.waveform.eval(t),
+                                            scenario.gamma) for t in thetas])
         else:
-            fbar = float(expected_fisher(
+            onebit = expected_fisher(
                 scenario.waveform, scenario.likelihood_gamma, 0.0,
-                scenario.state.stationary_variance))
-    if not np.isfinite(fbar):
-        raise ValueError(f"{receiver} Fisher information is not finite "
+                scenario.state.stationary_variance)
+        fbar = np.array([onebit, fisher_ideal(scenario.waveform.eval(0.0),
+                                              scenario.likelihood_gamma)])
+    if not np.all(np.isfinite(fbar)):
+        raise ValueError("Fisher information is not finite "
                          f"at snr_db {scenario.snr_db}")
     return fbar
 
@@ -214,28 +214,26 @@ def run_bounds(scenario: Scenario) -> BoundTrajectory:
     follows the gain's block marginals.
     """
     k, state = scenario.blocks, scenario.state
-    fbar = fbar_k = steady_fbar(scenario, "onebit")
-    fbar_inf = steady_fbar(scenario, "ideal")
+    fbar = steady_fbar(scenario)
+    fbar_k = np.repeat(fbar[:, None], k, axis=1)
     if scenario.kind == "linear":
         mean, var = marginal_moments(state, np.arange(1, k + 1))
-        fbar_k = expected_fisher(scenario.waveform, scenario.likelihood_gamma,
-                                 mean, var)
+        fbar_k[0] = expected_fisher(scenario.waveform, scenario.likelihood_gamma,
+                                    mean, var)
     # looked up on the module, where the benchmark tracer wraps it
-    return BoundTrajectory(u_onebit=bounds.bound_recursion(state, fbar_k, k),
-                           u_ideal=bounds.bound_recursion(state, fbar_inf, k),
-                           steady_onebit=steady_state(state, fbar),
-                           steady_ideal=steady_state(state, fbar_inf))
+    return BoundTrajectory(
+        u=np.stack([bounds.bound_recursion(state, row, k) for row in fbar_k]),
+        steady=np.array([steady_state(state, f) for f in fbar]))
 
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Aggregated filter errors against the tracking bound, in report_unit."""
+    """Aggregated filter errors against the tracking bound, in report_unit;
+    rmse and bound have one row per receiver in RECEIVERS order."""
 
     k: np.ndarray
-    rmse_onebit: np.ndarray
-    rmse_ideal: np.ndarray
-    bound_onebit: np.ndarray     # U_k^{-1/2}
-    bound_ideal: np.ndarray
+    rmse: np.ndarray             # (2, K+1)
+    bound: np.ndarray            # U_k^{-1/2}, (2, K+1)
     trials: int                  # trajectory count P
     realizations: int            # noise realizations per trajectory R
     discarded: int
@@ -243,61 +241,50 @@ class MonteCarloResult:
 
 
 def _simulate_trial(scenario: Scenario, theta: np.ndarray,
-                    signals: np.ndarray, lik_onebit, lik_ideal,
+                    signals: np.ndarray, likelihoods: list,
                     pf_config: ParticleFilterConfig, noise: NoiseModel,
-                    p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """One (trajectory, realization) trial; returns squared errors per block."""
+                    p: int, r: int) -> np.ndarray:
+    """One (trajectory, realization) trial; squared errors per receiver
+    and block.  Receiver i filters with likelihoods[i] and its own
+    generator (p, r + 1, i + 1); the observation noise is (p, r + 1, 0)."""
     model = scenario.state
     rng_obs = noise.generator((p, r + 1, 0))
-    rng_onebit = noise.generator((p, r + 1, 1))
-    rng_ideal = noise.generator((p, r + 1, 2))
-    cloud1 = pf_init(pf_config, model.mu0, model.sigma0, rng_onebit)
-    cloud2 = pf_init(pf_config, model.mu0, model.sigma0, rng_ideal)
-    num_blocks = theta.size - 1
-    err_onebit = np.empty(num_blocks + 1)
-    err_ideal = np.empty(num_blocks + 1)
-    err_onebit[0] = cloud1.mean() - theta[0]
-    err_ideal[0] = cloud2.mean() - theta[0]
+    rngs = [noise.generator((p, r + 1, i + 1)) for i in range(len(likelihoods))]
+    clouds = [pf_init(pf_config, model.mu0, model.sigma0, rng) for rng in rngs]
+    est = np.empty((len(clouds), theta.size))
+    est[:, 0] = [cloud.mean() for cloud in clouds]
     n = signals.shape[1]
-    for k in range(1, num_blocks + 1):
+    for k in range(1, theta.size):
         y = signals[k - 1] + rng_obs.standard_normal(n)
-        cloud1, est1 = pf_step(cloud1, model, sign_bit(y), lik_onebit,
-                               pf_config, rng_onebit)
-        cloud2, est2 = pf_step(cloud2, model, y, lik_ideal,
-                               pf_config, rng_ideal)
-        err_onebit[k] = est1 - theta[k]
-        err_ideal[k] = est2 - theta[k]
-    return err_onebit**2, err_ideal**2
+        for i, obs in enumerate((sign_bit(y), y)):
+            clouds[i], est[i, k] = pf_step(clouds[i], model, obs, likelihoods[i],
+                                           pf_config, rngs[i])
+    return (est - theta)**2
 
 
 def _trajectory_worker(scenario: Scenario, pf_config: ParticleFilterConfig,
                        master_seed: int, p: int, realizations: int):
-    """All realizations for one sampled trajectory; the pool work unit."""
+    """The pool work unit: all realizations of trajectory p, as
+    (p, sse_onebit, sse_ideal, completed, discarded)."""
     noise = NoiseModel(master_seed)
     model = scenario.state
-    num_blocks = scenario.blocks
-    theta = sample_trajectory(model, num_blocks, noise.generator((p,)))
+    theta = sample_trajectory(model, scenario.blocks, noise.generator((p,)))
     signals = np.stack([scenario.likelihood_gamma * scenario.waveform.signal(t)
                         for t in theta[1:]])
-    lik_onebit = make_likelihood(scenario.waveform,
-                                 scenario.likelihood_gamma, "onebit")
-    lik_ideal = make_likelihood(scenario.waveform,
-                                scenario.likelihood_gamma, "ideal")
-    sse_onebit = np.zeros(num_blocks + 1)
-    sse_ideal = np.zeros(num_blocks + 1)
-    completed = 0
-    discarded = 0
+    likelihoods = [make_likelihood(scenario.waveform,
+                                   scenario.likelihood_gamma, rx)
+                   for rx in RECEIVERS]
+    sse = np.zeros((len(RECEIVERS), theta.size))
+    completed = discarded = 0
     for r in range(realizations):
         try:
-            sq1, sq2 = _simulate_trial(scenario, theta, signals, lik_onebit,
-                                       lik_ideal, pf_config, noise, p, r)
+            sse += _simulate_trial(scenario, theta, signals, likelihoods,
+                                   pf_config, noise, p, r)
         except DegenerateCloudError:
             discarded += 1
             continue
-        sse_onebit += sq1
-        sse_ideal += sq2
         completed += 1
-    return p, sse_onebit, sse_ideal, completed, discarded
+    return p, sse[0], sse[1], completed, discarded
 
 
 def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
@@ -308,7 +295,8 @@ def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
 
     Degenerate trials (all particle weights vanished) are dropped from
     both receivers' averages and counted.  The result is deterministic
-    for a given master_seed, independent of the worker count.
+    for a given master_seed, independent of the worker count; the pool
+    has at most one worker per trajectory.
     """
     if processes < 1 or realizations < 1 or scenario.blocks < 1:
         raise ValueError("trials, realizations and blocks must each be "
@@ -319,20 +307,17 @@ def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
     bt = run_bounds(scenario)      # before the trials: bad input fails fast
     args = [(scenario, pf_config, master_seed, p, realizations)
             for p in range(processes)]
+    workers = min(workers, processes)
     if workers <= 1:
         results = [_trajectory_worker(*a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trajectory_worker, *zip(*args)))
 
-    num_blocks = scenario.blocks
-    sse_onebit = np.zeros(num_blocks + 1)
-    sse_ideal = np.zeros(num_blocks + 1)
-    completed = 0
-    discarded = 0
-    for _, sq1, sq2, done, dropped in results:
-        sse_onebit += sq1
-        sse_ideal += sq2
+    sse = np.zeros_like(bt.u)
+    completed = discarded = 0
+    for _, *rows, done, dropped in results:
+        sse += rows
         completed += done
         discarded += dropped
     if completed == 0:
@@ -340,11 +325,9 @@ def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
 
     scale = scenario.report_scale
     return MonteCarloResult(
-        k=np.arange(num_blocks + 1),
-        rmse_onebit=scale * np.sqrt(sse_onebit / completed),
-        rmse_ideal=scale * np.sqrt(sse_ideal / completed),
-        bound_onebit=scale / np.sqrt(bt.u_onebit),
-        bound_ideal=scale / np.sqrt(bt.u_ideal),
+        k=np.arange(scenario.blocks + 1),
+        rmse=scale * np.sqrt(sse / completed),
+        bound=scale / np.sqrt(bt.u),
         trials=processes, realizations=realizations,
         discarded=discarded, unit=scenario.report_unit,
     )

@@ -120,23 +120,25 @@ class DelayWaveform:
     def period(self) -> float:
         return self.code.period
 
+    def _delayed_spectrum(self, theta: float) -> np.ndarray:
+        """DFT coefficients of s(theta): the spectrum times the delay phase."""
+        if not np.isfinite(theta):
+            raise ValueError(f"delay must be finite, got {theta!r}")
+        return self.spectrum * np.exp(-2j * np.pi * self.frequencies * theta)
+
     def signal(self, theta: float) -> np.ndarray:
         """Signal samples s(theta) for a delay theta in seconds.
 
         Blocks span exactly one code period, so every block sees the
         same waveform.
         """
-        if not np.isfinite(theta):
-            raise ValueError(f"delay must be finite, got {theta!r}")
-        phase = np.exp(-2j * np.pi * self.frequencies * theta)
-        return np.fft.ifft(self.spectrum * phase).real
+        return np.fft.ifft(self._delayed_spectrum(theta)).real
 
     def eval(self, theta: float) -> WaveformEval:
         """Evaluate s(theta) and ds/dtheta for a delay theta in seconds."""
-        s = self.signal(theta)
-        phase = np.exp(-2j * np.pi * self.frequencies * theta)
-        ds = np.fft.ifft(self.spectrum * phase * (-2j * np.pi * self.frequencies)).real
-        return WaveformEval(s, ds)
+        delayed = self._delayed_spectrum(theta)
+        ds = np.fft.ifft(delayed * (-2j * np.pi * self.frequencies)).real
+        return WaveformEval(np.fft.ifft(delayed).real, ds)
 
     def baseband_table(self, oversampling: int) -> np.ndarray:
         """Waveform on a grid oversampled by the given integer factor.

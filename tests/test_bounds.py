@@ -193,8 +193,7 @@ class TestTransient:
     def test_duration_equals_mobius_closed_form(self, name):
         # and equals the direct scan of the recursion
         scenario = builtin_scenario(name)
-        fbar = steady_fbar(scenario, "onebit")
-        fbar_inf = steady_fbar(scenario, "ideal")
+        fbar, fbar_inf = steady_fbar(scenario)
         for quality in (1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0):
             report = transient_report(scenario.state, fbar, fbar_inf, quality)
             for k, f in ((report.k_lambda, fbar),

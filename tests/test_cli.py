@@ -179,8 +179,8 @@ class TestTransient:
         assert code == 0
         values = dict(line.split(",") for line in out.strip().split("\n")[1:])
         scenario = builtin_scenario("ranging")
-        for key, receiver in (("k_lambda", "onebit"), ("k_lambda_ideal", "ideal")):
-            fbar = steady_fbar(scenario, receiver)
+        for key, fbar in zip(("k_lambda", "k_lambda_ideal"),
+                             steady_fbar(scenario)):
             assert int(values[key]) == mobius.k_lambda(scenario.state, fbar, 14.5)
 
 

@@ -3,13 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from onebit_tracking import experiments
 from onebit_tracking.bounds import bound_recursion, db, steady_state
-from onebit_tracking.experiments import (SPEED_OF_LIGHT, builtin_scenario,
+from onebit_tracking.channel import NoiseModel, sign_bit
+from onebit_tracking.experiments import (RECEIVERS, SPEED_OF_LIGHT,
+                                         _simulate_trial, builtin_scenario,
                                          finite_k_loss, run_bounds,
                                          run_montecarlo, steady_fbar,
                                          sweep_beta)
+from onebit_tracking.fastlik import make_likelihood
+from onebit_tracking.filters import pf_init, pf_step
 from onebit_tracking.info import bayes_report, expected_fisher
-from onebit_tracking.state_space import marginal_moments
+from onebit_tracking.state_space import marginal_moments, sample_trajectory
 
 
 class TestBuiltinScenarios:
@@ -83,24 +88,24 @@ class TestBounds:
     def test_initialization_row(self):
         s = builtin_scenario("uwb", blocks=10)
         bt = run_bounds(s)
-        assert bt.u_onebit[0] == pytest.approx(1 / 0.05**2)
-        assert bt.u_ideal[0] == pytest.approx(1 / 0.05**2)
+        assert bt.u.shape == (2, 11)
+        np.testing.assert_allclose(bt.u[:, 0], 1 / 0.05**2)
 
     def test_onebit_loses_information(self):
         s = builtin_scenario("ranging", blocks=30)
         bt = run_bounds(s)
-        assert np.all(bt.u_onebit[1:] < bt.u_ideal[1:])
+        assert np.all(bt.u[0, 1:] < bt.u[1, 1:])
         assert 0 < bt.rho_steady < 1
 
     @pytest.mark.parametrize("name", ["ranging", "uwb", "mobile"])
     def test_steady_fields_and_ratio(self, name):
         s = builtin_scenario(name, blocks=100)
         bt = run_bounds(s)
-        assert bt.steady_onebit == steady_state(s.state, steady_fbar(s, "onebit"))
-        assert bt.steady_ideal == steady_state(s.state, steady_fbar(s, "ideal"))
+        assert list(bt.steady) == [steady_state(s.state, f)
+                                   for f in steady_fbar(s)]
         assert bt.rho[0] == 1.0
         # one-bit carries less information throughout
-        assert np.all(bt.u_onebit <= bt.u_ideal)
+        assert np.all(bt.u[0] <= bt.u[1])
 
     def test_mobile_rows_against_recursion_oracle(self):
         # 1-bit: per-block information of the gain's block marginals;
@@ -111,16 +116,15 @@ class TestBounds:
                                   for j in range(1, k + 1)])
         fbar = expected_fisher(s.waveform, s.likelihood_gamma, mean, var)
         bt = run_bounds(s)
-        np.testing.assert_array_equal(bt.u_onebit,
+        np.testing.assert_array_equal(bt.u[0],
                                       bound_recursion(s.state, fbar, k))
         np.testing.assert_array_equal(
-            bt.u_ideal, bound_recursion(s.state, steady_fbar(s, "ideal"), k))
+            bt.u[1], bound_recursion(s.state, steady_fbar(s)[1], k))
 
     def test_steady_fbar_positive_and_ordered(self):
         for name in ("ranging", "uwb", "mobile"):
             s = builtin_scenario(name)
-            fb = steady_fbar(s, "onebit")
-            fbi = steady_fbar(s, "ideal")
+            fb, fbi = steady_fbar(s)
             assert 0 < fb < fbi
 
 
@@ -141,8 +145,7 @@ class TestSweep:
 
     def test_psi_value(self):
         s = builtin_scenario("mobile")
-        report = bayes_report(steady_fbar(s, "onebit"), steady_fbar(s, "ideal"),
-                              1.0 / s.state.stationary_variance)
+        report = bayes_report(*steady_fbar(s), 1.0 / s.state.stationary_variance)
         assert db(report.psi) == pytest.approx(-5.73, abs=0.05)
 
     def test_rejects_bad_beta(self):
@@ -189,27 +192,49 @@ class TestMonteCarlo:
     def test_shapes_and_sanity(self):
         r = self.small()
         assert r.k.size == 26
-        assert np.all(r.rmse_onebit >= 0)
-        assert np.all(r.bound_onebit > 0)
+        assert r.rmse.shape == r.bound.shape == (2, 26)
+        assert np.all(r.rmse >= 0)
+        assert np.all(r.bound > 0)
         assert r.trials == 3 and r.realizations == 2
 
     def test_deterministic_per_seed(self):
         a = self.small()
         b = self.small()
-        np.testing.assert_array_equal(a.rmse_onebit, b.rmse_onebit)
-        np.testing.assert_array_equal(a.rmse_ideal, b.rmse_ideal)
+        np.testing.assert_array_equal(a.rmse, b.rmse)
 
     def test_worker_count_does_not_change_results(self):
         a = self.small(workers=1)
         b = self.small(workers=2)
-        np.testing.assert_array_equal(a.rmse_onebit, b.rmse_onebit)
-        np.testing.assert_array_equal(a.rmse_ideal, b.rmse_ideal)
+        np.testing.assert_array_equal(a.rmse, b.rmse)
+
+    def test_pool_has_at_most_one_worker_per_trajectory(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size and maps in this process: no fork."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        pooled = self.small(workers=64)
+        assert sizes == [3]
+        np.testing.assert_array_equal(pooled.rmse, self.small().rmse)
 
     def test_ranging_reports_meters(self):
         s = builtin_scenario("ranging", blocks=3)
         r = run_montecarlo(s, processes=1, realizations=1, master_seed=1)
         # initial uncertainty is sigma0 = 0.1 chip, i.e. about 29 m
-        assert 5.0 < r.bound_onebit[0] < 50.0
+        assert np.all((5.0 < r.bound[:, 0]) & (r.bound[:, 0] < 50.0))
         assert r.unit == "meters"
 
     def test_rejects_empty_run(self):
@@ -223,3 +248,30 @@ class TestMonteCarlo:
         s = builtin_scenario("uwb", blocks=5)
         with pytest.raises(ValueError, match="seed"):
             run_montecarlo(s, processes=1, realizations=1, master_seed=-1)
+
+
+class TestStreamLayout:
+    @pytest.mark.parametrize("name", ["uwb", "ranging"])
+    def test_each_row_is_a_single_receiver_filter(self, name):
+        # noise from generator (p, r + 1, 0), receiver i filters with
+        # (p, r + 1, i + 1); only row 0 sees the sample signs
+        s = builtin_scenario(name, blocks=4)
+        noise, p, r = NoiseModel(11), 2, 1
+        theta = sample_trajectory(s.state, s.blocks, noise.generator((p,)))
+        signals = np.stack([s.likelihood_gamma * s.waveform.signal(t)
+                            for t in theta[1:]])
+        liks = [make_likelihood(s.waveform, s.likelihood_gamma, rx)
+                for rx in RECEIVERS]
+        sq = _simulate_trial(s, theta, signals, liks, s.pf, noise, p, r)
+        assert sq.shape == (2, s.blocks + 1)
+        for i, lik in enumerate(liks):
+            rng_obs = noise.generator((p, r + 1, 0))
+            rng = noise.generator((p, r + 1, i + 1))
+            cloud = pf_init(s.pf, s.state.mu0, s.state.sigma0, rng)
+            est = [cloud.mean()]
+            for k in range(1, s.blocks + 1):
+                y = signals[k - 1] + rng_obs.standard_normal(signals.shape[1])
+                obs = sign_bit(y) if i == 0 else y
+                cloud, estimate = pf_step(cloud, s.state, obs, lik, s.pf, rng)
+                est.append(estimate)
+            np.testing.assert_array_equal(sq[i], (np.array(est) - theta)**2)

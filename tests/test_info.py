@@ -173,19 +173,15 @@ class TestSteadyIdeal:
         for name in ("uwb", "mobile"):
             s = builtin_scenario(name)
             pilot = s.waveform.pilot
-            assert steady_fbar(s, "ideal") == (s.likelihood_gamma**2
-                                               * np.dot(pilot, pilot))
+            assert steady_fbar(s)[1] == (s.likelihood_gamma**2
+                                         * np.dot(pilot, pilot))
         # delay waveform: Parseval, gamma^2 sum |2 pi f X_f|^2 / N
         s = builtin_scenario("ranging")
         wf = s.waveform
         parseval = (s.likelihood_gamma**2
                     * np.sum(np.abs(2 * np.pi * wf.frequencies * wf.spectrum)**2)
                     / wf.samples_per_block)
-        assert steady_fbar(s, "ideal") == pytest.approx(parseval, rel=1e-14, abs=0)
-
-    def test_unknown_receiver_rejected(self):
-        with pytest.raises(ValueError, match="analog"):
-            steady_fbar(builtin_scenario("mobile"), "analog")
+        assert steady_fbar(s)[1] == pytest.approx(parseval, rel=1e-14, abs=0)
 
 
 class TestBayesReport:
