@@ -76,12 +76,13 @@ def bound_recursion(model: StateSpaceModel, fbar,
         raise ValueError(f"need {num_blocks} Fbar values, got {fbar.size}")
     if np.any(fbar < 0):
         raise ValueError("Fbar must be nonnegative")
-    alpha, sigma = model.alpha, model.sigma
-    u = np.empty(num_blocks + 1)
-    u[0] = 1.0 / model.sigma0**2
-    for k in range(1, num_blocks + 1):
-        u[k] = 1.0 / (sigma**2 + alpha**2 / u[k - 1]) + fbar[k - 1]
-    return u
+    # Python floats: the same IEEE operations as on numpy scalars, without
+    # their per-element overhead
+    alpha2, sigma2 = float(model.alpha**2), float(model.sigma**2)
+    u = [float(1.0 / model.sigma0**2)]
+    for f in fbar.tolist():
+        u.append(1.0 / (sigma2 + alpha2 / u[-1]) + f)
+    return np.array(u)
 
 
 def steady_state(model: StateSpaceModel, fbar: float) -> float:

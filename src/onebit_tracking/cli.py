@@ -148,6 +148,7 @@ def _workers(cfg: dict) -> int:
 
 
 def _fmt(x) -> str:
+    # the text of "%.17g" % x, which formats the rows of long tables
     return format(float(x), ".17g")
 
 
@@ -187,10 +188,10 @@ def cmd_bound(cfg: dict) -> int:
         bt = run_bounds(scenario)
     lines = ["k,u_inv_sqrt_onebit,u_inv_sqrt_ideal,rho_db"]
     columns = np.vstack([scale / np.sqrt(bt.u), db(bt.rho)])
-    lines += [f"{k}," + ",".join(map(_fmt, row))
-              for k, row in enumerate(columns.T)]
-    steady = [*(scale / np.sqrt(bt.steady)), db(bt.rho_steady)]
-    lines.append("steady," + ",".join(map(_fmt, steady)))
+    lines += ["%d,%.17g,%.17g,%.17g" % (k, *row)
+              for k, row in enumerate(columns.T.tolist())]
+    steady = [*(scale / np.sqrt(bt.steady)).tolist(), db(bt.rho_steady)]
+    lines.append("steady,%.17g,%.17g,%.17g" % tuple(steady))
     _emit(lines, cfg.get("output"))
     return 0
 
@@ -206,8 +207,8 @@ def cmd_track(cfg: dict) -> int:
                                 workers=_workers(cfg))
     lines = ["k,rmse_onebit,rmse_ideal,bound_onebit,bound_ideal,discarded"]
     columns = np.vstack([result.rmse, result.bound])
-    lines += [f"{k}," + ",".join(map(_fmt, row)) + f",{result.discarded}"
-              for k, row in enumerate(columns.T)]
+    lines += ["%d,%.17g,%.17g,%.17g,%.17g,%d" % (k, *row, result.discarded)
+              for k, row in enumerate(columns.T.tolist())]
     _emit(lines, cfg.get("output"))
     return 3 if result.discarded > 0 else 0
 
@@ -227,11 +228,12 @@ def cmd_sweep(cfg: dict) -> int:
         if cfg.get("finite_k") is not None:
             rows = finite_k_loss(scenario, grid, cfg["finite_k"])
             lines = ["beta,k,rho_k_db"]
-            lines += [f"{_fmt(b)},{k},{_fmt(r)}" for b, k, r in rows]
+            beta = {b: _fmt(b) for b in grid.tolist()}   # once per curve
+            lines += ["%s,%d,%.17g" % (beta[b], k, r) for b, k, r in rows]
         else:
             rows = sweep_beta(scenario, grid)
             lines = ["beta,rho_db,psi_db"]
-            lines += [f"{_fmt(b)},{_fmt(r)},{_fmt(p)}" for b, r, p in rows]
+            lines += ["%.17g,%.17g,%.17g" % row for row in rows]
     _emit(lines, cfg.get("output"))
     return 0
 

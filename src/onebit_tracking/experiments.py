@@ -34,10 +34,6 @@ from .state_space import StateSpaceModel, marginal_moments, sample_trajectory
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-# fractional delays per chip used to average the delay-dependent 1-bit
-# Fisher information (exactly periodic in one chip by code cyclicity)
-DELAY_AVERAGE_POINTS = 64
-
 # pilot symbols for the gain-tracking scenarios; the circular pair of
 # equal adjacent symbols keeps the Nyquist-pulse midpoint samples active
 _PILOT_SYMBOLS = (1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0)
@@ -181,18 +177,19 @@ def steady_fbar(scenario: Scenario) -> np.ndarray:
 
     The ideal information gamma^2 ||ds/dtheta||^2 is theta-free on both
     waveform families (gamma^2 p.p; by Parseval gamma^2 sum |2 pi f X_f|^2
-    / N), so one evaluation gives it.  The 1-bit information averages
-    over the fractional delay (it is exactly chip-periodic) or integrates
-    over the stationary gain distribution N(0, SNR).  Information that
-    overflows (an SNR too large for the waveform) raises ValueError.
+    / N), so one evaluation gives it.  The 1-bit information integrates
+    over the stationary gain distribution N(0, SNR) or averages over the
+    fractional delay: F(theta) has period T_s, and the blocks at the 32
+    delays q T_s / 32 hold each point of the 32x-oversampled table once,
+    so the average is one evaluation on that table, divided by 32.
+    Information that overflows (an SNR too large for the waveform)
+    raises ValueError.
     """
     # overflow is reported by the finiteness check below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         if scenario.kind == "delay":
-            thetas = (np.arange(DELAY_AVERAGE_POINTS) / DELAY_AVERAGE_POINTS
-                      * scenario.chip_duration)
-            onebit = np.mean([fisher_onebit(scenario.waveform.eval(t),
-                                            scenario.gamma) for t in thetas])
+            onebit = fisher_onebit(scenario.waveform.baseband_table(32),
+                                   scenario.gamma) / 32
         else:
             onebit = expected_fisher(
                 scenario.waveform, scenario.likelihood_gamma, 0.0,
@@ -384,8 +381,6 @@ def finite_k_loss(scenario_base: Scenario, beta_list, num_blocks: int) -> list:
         model = replace(scenario_base.state, alpha=alpha,
                         sigma=np.sqrt((1.0 - alpha**2) * snr))
         scenario = replace(scenario_base, state=model, blocks=num_blocks)
-        bt = run_bounds(scenario)
-        rho_db = db(bt.rho)
-        rows.extend((float(beta), int(k), float(rho_db[k]))
-                    for k in range(num_blocks + 1))
+        rho_db = db(run_bounds(scenario).rho).tolist()
+        rows.extend((float(beta), k, r) for k, r in enumerate(rho_db))
     return rows

@@ -75,7 +75,7 @@ class OneBitDelayLikelihood:
     """Exact-per-split 1-bit block log-likelihood, vectorized over delays."""
 
     def __init__(self, waveform: DelayWaveform, gamma: float):
-        fine = waveform.baseband_table(DEFAULT_OVERSAMPLING)
+        fine = waveform.baseband_table(DEFAULT_OVERSAMPLING).s
         lq_pos = log_q(-gamma * fine)
         lq_neg = log_q(gamma * fine)
         odd = 0.5 * (lq_pos - lq_neg)
@@ -106,7 +106,7 @@ class IdealDelayLikelihood:
     """
 
     def __init__(self, waveform: DelayWaveform, gamma: float):
-        fine = waveform.baseband_table(DEFAULT_OVERSAMPLING)
+        fine = waveform.baseband_table(DEFAULT_OVERSAMPLING).s
         self._corr = _DelayCorrelator(waveform, fine)
         self._gamma = gamma
         n = waveform.samples_per_block

@@ -59,7 +59,9 @@ def generate_gps_ca_code(prn: int, chip_duration: float = 1.0 / 1.023e6) -> Code
 
     Two 10-stage LFSRs (G1: taps 3,10; G2: taps 2,3,6,8,9,10) are run
     from the all-ones state; the C/A chips are G1 xor the delayed G2
-    output.  Code bit 1 maps to +1, bit 0 to -1.
+    output.  Code bit 1 maps to +1, bit 0 to -1.  Each register's output
+    obeys the linear recurrence of its taps, so the first ten outputs are
+    the all-ones state and every later one is the xor of earlier outputs.
     """
     if not isinstance(prn, (int, np.integer)) or isinstance(prn, bool):
         raise ValueError(f"PRN must be an integer, got {prn!r}")
@@ -67,16 +69,11 @@ def generate_gps_ca_code(prn: int, chip_duration: float = 1.0 / 1.023e6) -> Code
         raise ValueError(f"PRN must be in 1..32, got {prn}")
     g1 = [1] * 10
     g2 = [1] * 10
-    g1_out = np.empty(CA_CODE_LENGTH, dtype=int)
-    g2_out = np.empty(CA_CODE_LENGTH, dtype=int)
-    for i in range(CA_CODE_LENGTH):
-        g1_out[i] = g1[9]
-        g2_out[i] = g2[9]
-        fb1 = g1[2] ^ g1[9]
-        fb2 = g2[1] ^ g2[2] ^ g2[5] ^ g2[7] ^ g2[8] ^ g2[9]
-        g1 = [fb1] + g1[:9]
-        g2 = [fb2] + g2[:9]
-    chips = g1_out ^ np.roll(g2_out, _G2_DELAY[prn - 1])
+    for i in range(10, CA_CODE_LENGTH):
+        g1.append(g1[i - 3] ^ g1[i - 10])
+        g2.append(g2[i - 2] ^ g2[i - 3] ^ g2[i - 6] ^ g2[i - 8]
+                  ^ g2[i - 9] ^ g2[i - 10])
+    chips = np.array(g1) ^ np.roll(g2, _G2_DELAY[prn - 1])
     return CodeSequence(np.where(chips == 1, 1.0, -1.0), chip_duration)
 
 
@@ -140,18 +137,22 @@ class DelayWaveform:
         ds = np.fft.ifft(delayed * (-2j * np.pi * self.frequencies)).real
         return WaveformEval(np.fft.ifft(delayed).real, ds)
 
-    def baseband_table(self, oversampling: int) -> np.ndarray:
-        """Waveform on a grid oversampled by the given integer factor.
+    def baseband_table(self, oversampling: int) -> WaveformEval:
+        """s and ds/dtheta on a grid oversampled by the given integer factor.
 
-        Used by the fast per-block likelihood evaluators; the table spans
-        one code period with oversampling * N points.
+        The tables span one code period with oversampling * N points;
+        point i is x(i T_s / oversampling), so s_n(theta) for theta =
+        q T_s / oversampling is point n * oversampling - q.  Both come
+        from one real inverse FFT of the zero-padded half spectrum, which
+        is exact because the Nyquist harmonic is zero.
         """
         n = self.samples_per_block
-        fine = np.zeros(oversampling * n, dtype=complex)
         half = n // 2
-        fine[:half] = self.spectrum[:half]
-        fine[-half:] = self.spectrum[-half:]
-        return np.fft.ifft(fine).real * oversampling
+        spec = np.zeros((2, oversampling * half + 1), dtype=complex)
+        spec[0, :half] = oversampling * self.spectrum[:half]
+        spec[1, :half] = spec[0, :half] * (-2j * np.pi * self.frequencies[:half])
+        s, ds = np.fft.irfft(spec, n=oversampling * n)
+        return WaveformEval(s, ds)
 
 
 def make_delay_waveform(code: CodeSequence) -> DelayWaveform:

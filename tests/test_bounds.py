@@ -6,7 +6,8 @@ from onebit_tracking.bounds import (bound_recursion, convergence_factor, db,
                                     slow_evolution_loss, steady_state,
                                     transient_report)
 from onebit_tracking.experiments import builtin_scenario, steady_fbar
-from onebit_tracking.state_space import StateSpaceModel
+from onebit_tracking.info import expected_fisher
+from onebit_tracking.state_space import StateSpaceModel, marginal_moments
 
 import mobius
 
@@ -38,6 +39,17 @@ def scanned_k_lambda(model, fbar, quality, max_blocks=1_000_000):
         if abs(u - u_star) <= threshold:
             return k
     raise AssertionError(f"no steady-state entry within {max_blocks} blocks")
+
+
+def numpy_scalar_recursion(model, fbar, num_blocks):
+    """Oracle: the recursion element by element on a numpy array."""
+    fbar = np.broadcast_to(np.asarray(fbar, dtype=float), (num_blocks,))
+    alpha, sigma = model.alpha, model.sigma
+    u = np.empty(num_blocks + 1)
+    u[0] = 1.0 / model.sigma0**2
+    for k in range(1, num_blocks + 1):
+        u[k] = 1.0 / (sigma**2 + alpha**2 / u[k - 1]) + fbar[k - 1]
+    return u
 
 
 def random_model(rng):
@@ -100,6 +112,18 @@ class TestRecursion:
         a = bound_recursion(model, 2.0, 50)
         b = bound_recursion(model, 5.0, 50)
         assert np.all(a <= b + 1e-12)
+
+    def test_equals_numpy_scalar_recursion(self):
+        # mobile's per-block 1-bit row and its stationary ideal value
+        s = builtin_scenario("mobile")
+        k = s.blocks
+        mean, var = marginal_moments(s.state, np.arange(1, k + 1))
+        fbar_k = expected_fisher(s.waveform, s.likelihood_gamma, mean, var)
+        for fbar in (fbar_k, steady_fbar(s)[1]):
+            u = bound_recursion(s.state, fbar, k)
+            assert u.dtype == np.float64 and u.shape == (k + 1,)
+            np.testing.assert_array_equal(
+                u, numpy_scalar_recursion(s.state, fbar, k))
 
     def test_bad_inputs(self):
         model = StateSpaceModel(0.9, 0.1, 0.0, 0.5)

@@ -124,7 +124,7 @@ class TestDelayCorrelator:
     @pytest.fixture(scope="class", params=["onebit-odd", "ideal"])
     def case(self, request, delay_setup):
         wf, gamma, _, obs = delay_setup
-        fine = wf.baseband_table(DEFAULT_OVERSAMPLING)
+        fine = wf.baseband_table(DEFAULT_OVERSAMPLING).s
         if request.param == "onebit-odd":
             table = 0.5 * (log_q(-gamma * fine) - log_q(gamma * fine))
             block = obs.onebit

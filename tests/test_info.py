@@ -28,6 +28,14 @@ def per_node_expected_fisher(waveform, gamma, mean, var, nodes=33):
     return float(np.dot(w, values) / np.sqrt(np.pi))
 
 
+def delay_average_fisher(scenario, points=64):
+    """Oracle: the 1-bit information averaged over equally spaced
+    fractional delays of one chip, one waveform evaluation per delay."""
+    thetas = np.arange(points) / points * scenario.chip_duration
+    return float(np.mean([fisher_onebit(scenario.waveform.eval(t),
+                                        scenario.gamma) for t in thetas]))
+
+
 def brute_force_fisher(s, ds, gamma, h=1e-5):
     """Exhaustive-enumeration Fisher information at the working point.
 
@@ -182,6 +190,24 @@ class TestSteadyIdeal:
                     * np.sum(np.abs(2 * np.pi * wf.frequencies * wf.spectrum)**2)
                     / wf.samples_per_block)
         assert steady_fbar(s)[1] == pytest.approx(parseval, rel=1e-14, abs=0)
+
+
+class TestSteadyOnebitDelay:
+    @pytest.mark.parametrize("snr_db", [-15.0, 0.0, 20.0])
+    def test_oversampled_table_matches_delay_average(self, snr_db):
+        s = builtin_scenario("ranging", snr_db=snr_db)
+        assert steady_fbar(s)[0] == pytest.approx(delay_average_fisher(s),
+                                                  rel=1e-14, abs=0)
+
+    def test_information_has_the_sample_period(self):
+        # F(theta + T_s) = F(theta), so the 64 delays per chip are two
+        # copies of the 32 sampling phases of the table
+        s = builtin_scenario("ranging", snr_db=20.0)
+        t_s = 1.0 / s.waveform.sample_rate
+        for theta in np.array([0.0, 0.13, 0.5, 0.77]) * t_s:
+            a = fisher_onebit(s.waveform.eval(theta), s.gamma)
+            b = fisher_onebit(s.waveform.eval(theta + t_s), s.gamma)
+            assert b == pytest.approx(a, rel=1e-12, abs=0)
 
 
 class TestBayesReport:

@@ -1,8 +1,26 @@
 import numpy as np
 import pytest
 
-from onebit_tracking.signals import (CodeSequence, generate_gps_ca_code,
+from onebit_tracking.signals import (_G2_DELAY, CodeSequence,
+                                     generate_gps_ca_code,
                                      make_delay_waveform, make_pilot_waveform)
+
+
+def shift_register_ca_code(prn):
+    """Oracle: the C/A chips (0/1) from the two 10-stage shift registers,
+    clocked one chip at a time."""
+    g1 = [1] * 10
+    g2 = [1] * 10
+    g1_out = np.empty(1023, dtype=int)
+    g2_out = np.empty(1023, dtype=int)
+    for i in range(1023):
+        g1_out[i] = g1[9]
+        g2_out[i] = g2[9]
+        fb1 = g1[2] ^ g1[9]
+        fb2 = g2[1] ^ g2[2] ^ g2[5] ^ g2[7] ^ g2[8] ^ g2[9]
+        g1 = [fb1] + g1[:9]
+        g2 = [fb2] + g2[:9]
+    return g1_out ^ np.roll(g2_out, _G2_DELAY[prn - 1])
 
 
 def octal_id(code):
@@ -38,6 +56,12 @@ class TestGpsCode:
         a = generate_gps_ca_code(3).symbols
         b = generate_gps_ca_code(4).symbols
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("prn", range(1, 33))
+    def test_matches_shift_register(self, prn):
+        chips = shift_register_ca_code(prn)
+        np.testing.assert_array_equal(generate_gps_ca_code(prn).symbols,
+                                      np.where(chips == 1, 1.0, -1.0))
 
     def test_period(self):
         code = generate_gps_ca_code(1)
@@ -99,9 +123,20 @@ class TestDelayWaveform:
         np.testing.assert_allclose(b, np.roll(a, 2), atol=1e-9)
 
     def test_baseband_table_subsamples_to_block(self, delay_waveform):
-        table = delay_waveform.baseband_table(8)
-        np.testing.assert_allclose(table[::8], delay_waveform.eval(0.0).s,
-                                   atol=1e-9)
+        # point n*M - q of the table is s_n at the delay q T_s / M
+        n = delay_waveform.samples_per_block
+        for m, phases in ((8, (0, 3, 7)), (32, (0, 1, 16, 31))):
+            table = delay_waveform.baseband_table(m)
+            assert table.s.shape == table.ds_dtheta.shape == (m * n,)
+            for q in phases:
+                ev = delay_waveform.eval(q / (m * delay_waveform.sample_rate))
+                idx = (np.arange(n) * m - q) % (m * n)
+                np.testing.assert_allclose(table.s[idx], ev.s, rtol=0,
+                                           atol=1e-13)
+                scale = np.max(np.abs(ev.ds_dtheta))
+                np.testing.assert_allclose(table.ds_dtheta[idx] / scale,
+                                           ev.ds_dtheta / scale, rtol=0,
+                                           atol=1e-13)
 
     def test_constant_code_has_flat_derivative(self):
         wf = make_delay_waveform(CodeSequence(np.ones(16), 1e-6))
