@@ -14,8 +14,8 @@ from .experiments import (MonteCarloResult, Scenario, builtin_scenario,
                           finite_k_loss, run_bounds, run_montecarlo,
                           steady_fbar, sweep_beta)
 from .fastlik import make_likelihood
-from .filters import (DegenerateCloudError, ParticleCloud,
-                      ParticleFilterConfig, pf_init, pf_step)
+from .filters import (DegenerateCloudError, ParticleFilterConfig, pf_init,
+                      pf_step)
 from .info import bayes_report, expected_fisher, fisher_ideal, fisher_onebit
 from .signals import (CodeSequence, generate_gps_ca_code, make_delay_waveform,
                       make_pilot_waveform)
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundTrajectory", "CodeSequence", "DegenerateCloudError",
-    "MonteCarloResult", "ParticleCloud", "ParticleFilterConfig",
-    "Scenario", "StateSpaceModel", "TransientReport", "bayes_report",
+    "MonteCarloResult", "ParticleFilterConfig", "Scenario",
+    "StateSpaceModel", "TransientReport", "bayes_report",
     "bound_recursion", "builtin_scenario", "db", "expected_fisher",
     "finite_k_loss", "fisher_ideal", "fisher_onebit",
     "generate_gps_ca_code", "loglik_ideal", "loglik_onebit",

@@ -86,12 +86,17 @@ def bound_recursion(model: StateSpaceModel, fbar,
 
 
 def steady_state(model: StateSpaceModel, fbar: float) -> float:
-    """Closed-form fixed point U of the recursion for constant Fbar."""
+    """Closed-form fixed point U of the recursion for constant Fbar; a U
+    that is not finite (a sigma too small for it) raises ValueError."""
     if fbar < 0:
         raise ValueError("Fbar must be nonnegative")
-    alpha, sigma = model.alpha, model.sigma
+    # on Python floats an overflowing product is inf, without a warning
+    alpha, sigma, fbar = float(model.alpha), float(model.sigma), float(fbar)
     t = 0.5 * (1.0 - alpha**2) / sigma**2 + 0.5 * fbar
-    return float(t + np.sqrt(t * t + alpha**2 * fbar / sigma**2))
+    u = float(t + np.sqrt(t * t + alpha**2 * fbar / sigma**2))
+    if not np.isfinite(u):
+        raise ValueError(f"steady-state information is not finite at sigma {sigma}")
+    return u
 
 
 def slow_evolution_conditions(model: StateSpaceModel, fbar_onebit: float,

@@ -239,28 +239,29 @@ class MonteCarloResult:
 
 def _simulate_trial(scenario: Scenario, theta: np.ndarray,
                     signals: np.ndarray, likelihoods: list,
-                    pf_config: ParticleFilterConfig, noise: NoiseModel,
-                    p: int, r: int) -> np.ndarray:
+                    noise: NoiseModel, p: int, r: int) -> np.ndarray:
     """One (trajectory, realization) trial; squared errors per receiver
     and block.  Receiver i filters with likelihoods[i] and its own
     generator (p, r + 1, i + 1); the observation noise is (p, r + 1, 0)."""
-    model = scenario.state
+    model, config = scenario.state, scenario.pf
     rng_obs = noise.generator((p, r + 1, 0))
     rngs = [noise.generator((p, r + 1, i + 1)) for i in range(len(likelihoods))]
-    clouds = [pf_init(pf_config, model.mu0, model.sigma0, rng) for rng in rngs]
+    # each receiver's (particles, weights)
+    clouds = [pf_init(config, model.mu0, model.sigma0, rng) for rng in rngs]
     est = np.empty((len(clouds), theta.size))
-    est[:, 0] = [cloud.mean() for cloud in clouds]
+    est[:, 0] = [np.dot(w, x) for x, w in clouds]
     n = signals.shape[1]
     for k in range(1, theta.size):
         y = signals[k - 1] + rng_obs.standard_normal(n)
         for i, obs in enumerate((sign_bit(y), y)):
-            clouds[i], est[i, k] = pf_step(clouds[i], model, obs, likelihoods[i],
-                                           pf_config, rngs[i])
+            x, w, est[i, k] = pf_step(*clouds[i], model, obs, likelihoods[i],
+                                      config, rngs[i])
+            clouds[i] = x, w
     return (est - theta)**2
 
 
-def _trajectory_worker(scenario: Scenario, pf_config: ParticleFilterConfig,
-                       master_seed: int, p: int, realizations: int):
+def _trajectory_worker(scenario: Scenario, master_seed: int, p: int,
+                       realizations: int):
     """The pool work unit: all realizations of trajectory p, as
     (p, sse_onebit, sse_ideal, completed, discarded)."""
     noise = NoiseModel(master_seed)
@@ -276,7 +277,7 @@ def _trajectory_worker(scenario: Scenario, pf_config: ParticleFilterConfig,
     for r in range(realizations):
         try:
             sse += _simulate_trial(scenario, theta, signals, likelihoods,
-                                   pf_config, noise, p, r)
+                                   noise, p, r)
         except DegenerateCloudError:
             discarded += 1
             continue
@@ -286,7 +287,6 @@ def _trajectory_worker(scenario: Scenario, pf_config: ParticleFilterConfig,
 
 def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
                    realizations: int = DEFAULT_REALIZATIONS,
-                   pf_config: ParticleFilterConfig = None,
                    master_seed: int = 0, workers: int = 1) -> MonteCarloResult:
     """Particle-filter RMSE vs the tracking bound over P x R trials.
 
@@ -300,9 +300,8 @@ def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
                          "at least 1")
     if master_seed < 0:
         raise ValueError(f"seed must be nonnegative, got {master_seed}")
-    pf_config = scenario.pf if pf_config is None else pf_config
     bt = run_bounds(scenario)      # before the trials: bad input fails fast
-    args = [(scenario, pf_config, master_seed, p, realizations)
+    args = [(scenario, master_seed, p, realizations)
             for p in range(processes)]
     workers = min(workers, processes)
     if workers <= 1:

@@ -131,19 +131,22 @@ class OneBitLinearLikelihood:
     def __init__(self, waveform: LinearGainWaveform, gamma: float = 1.0):
         pilot = gamma * waveform.pilot
         magnitudes = np.abs(pilot)
-        values = np.unique(magnitudes[magnitudes > 0])
-        self._groups = [(v, np.sign(pilot[magnitudes == v])) for v in values]
+        self._values = np.unique(magnitudes[magnitudes > 0])
+        groups = magnitudes == self._values[:, None]
+        self._sizes = groups.sum(axis=1)
+        # one signed indicator row per magnitude: sign(pilot) on its samples
+        self._signed = groups * np.sign(pilot)
         self._zero_const = np.log(0.5) * int(np.sum(magnitudes == 0))
-        self._masks = [magnitudes == v for v, _ in self._groups]
 
     def __call__(self, onebit: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         out = np.full(thetas.shape, self._zero_const)
-        for (v, signs), mask in zip(self._groups, self._masks):
-            agree = onebit[mask] * signs
-            n_pos = float(np.sum(agree > 0))
-            n_neg = agree.size - n_pos
-            out += n_pos * log_q(-v * thetas) + n_neg * log_q(v * thetas)
+        # +-1 signs: the agreeing count (size + signed . onebit) / 2 is an
+        # exact integer in floats
+        n_pos = 0.5 * (self._sizes + self._signed @ onebit)
+        n_neg = self._sizes - n_pos
+        for v, pos, neg in zip(self._values, n_pos.tolist(), n_neg.tolist()):
+            out += pos * log_q(-v * thetas) + neg * log_q(v * thetas)
         return out
 
 

@@ -31,27 +31,15 @@ class ParticleFilterConfig:
             raise ValueError(f"kappa must be in (0, 1], got {self.resample_threshold}")
 
 
-@dataclass
-class ParticleCloud:
-    particles: np.ndarray
-    weights: np.ndarray
-
-    def ess(self) -> float:
-        """Effective number of particles, 1 / sum(w^2)."""
-        return 1.0 / float(np.dot(self.weights, self.weights))
-
-    def mean(self) -> float:
-        return float(np.dot(self.weights, self.particles))
-
-
 def pf_init(config: ParticleFilterConfig, mu0: float, sigma0: float,
-            rng: np.random.Generator) -> ParticleCloud:
-    """Draw L particles from the initial prior with uniform weights."""
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw L particles from the initial prior; returns (particles, weights)
+    with uniform weights."""
     if sigma0 < 0:
         raise ValueError("sigma0 must be nonnegative")
     ell = config.num_particles
     particles = mu0 + sigma0 * rng.standard_normal(ell)
-    return ParticleCloud(particles, np.full(ell, 1.0 / ell))
+    return particles, np.full(ell, 1.0 / ell)
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -62,30 +50,30 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     return np.minimum(np.searchsorted(np.cumsum(weights), positions), ell - 1)
 
 
-def pf_step(cloud: ParticleCloud, model: StateSpaceModel, observation,
-            loglik, config: ParticleFilterConfig,
-            rng: np.random.Generator) -> tuple[ParticleCloud, float]:
-    """One SIR block update; returns the new cloud and the block estimate.
+def pf_step(particles: np.ndarray, weights: np.ndarray,
+            model: StateSpaceModel, observation, loglik,
+            config: ParticleFilterConfig, rng: np.random.Generator
+            ) -> tuple[np.ndarray, np.ndarray, float]:
+    """One SIR block update; returns (particles, weights, estimate).
 
     loglik(observation, particles) must return per-particle block
     log-likelihoods (an additive constant is irrelevant).  The estimate
     is the weighted mean formed before any resampling.
     """
     # propagate through the transition prior
-    particles = (model.alpha * cloud.particles
-                 + model.sigma * rng.standard_normal(cloud.particles.size))
-    logw = np.log(cloud.weights, out=np.full_like(cloud.weights, -np.inf),
-                  where=cloud.weights > 0)
+    particles = (model.alpha * particles
+                 + model.sigma * rng.standard_normal(particles.size))
+    logw = np.log(weights, out=np.full_like(weights, -np.inf),
+                  where=weights > 0)
     logw = logw + loglik(observation, particles)
     shift = np.max(logw)
     if not np.isfinite(shift):
         raise DegenerateCloudError("all particle weights vanished")
     w = np.exp(logw - shift)
     w /= w.sum()
-    new_cloud = ParticleCloud(particles, w)
-    estimate = new_cloud.mean()
-    if new_cloud.ess() <= config.resample_threshold * config.num_particles:
-        idx = systematic_resample(w, rng)
-        new_cloud = ParticleCloud(particles[idx],
-                                  np.full(w.size, 1.0 / w.size))
-    return new_cloud, estimate
+    estimate = float(np.dot(w, particles))
+    ess = 1.0 / float(np.dot(w, w))
+    if ess <= config.resample_threshold * config.num_particles:
+        particles = particles[systematic_resample(w, rng)]
+        w = np.full(w.size, 1.0 / w.size)
+    return particles, w, estimate

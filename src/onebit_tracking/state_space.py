@@ -22,10 +22,12 @@ class StateSpaceModel:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
-            raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0}")
+        for name in ("sigma", "sigma0"):
+            value = float(getattr(self, name))
+            # the bounds divide by the square: it must be a finite normal double
+            if not (value > 0 and np.finfo(float).tiny <= value * value < np.inf):
+                raise ValueError(f"{name} must be positive with a finite normal "
+                                 f"square, got {value}")
 
     @property
     def stationary_variance(self) -> float:

@@ -207,13 +207,13 @@ def _steady_ratio(result, tail=50):
 
 
 def test_criterion_08_filter_efficiency_desk_scale(capsys, ranging, uwb):
-    cfg = ParticleFilterConfig(num_particles=100, resample_threshold=0.66)
     ratios = []
     for scenario in (ranging, uwb):
+        assert scenario.pf == ParticleFilterConfig(num_particles=100,
+                                                   resample_threshold=0.66)
         # the result does not depend on the worker count (criterion 9)
         result = run_montecarlo(scenario, processes=20, realizations=50,
-                                pf_config=cfg, master_seed=0,
-                                workers=os.cpu_count() or 1)
+                                master_seed=0, workers=os.cpu_count() or 1)
         ratios += _steady_ratio(result)
     ok = all(0.95 <= r <= 1.15 for r in ratios)
     verdict(capsys, 8, ok,
@@ -265,11 +265,12 @@ def test_criterion_10_property_suites(capsys, ranging, uwb):
     model = StateSpaceModel(0.9, 0.1, 0.0, 1.0)
     cfg = ParticleFilterConfig(num_particles=300, resample_threshold=0.1)
     gen = np.random.default_rng(0)
-    cloud = pf_init(cfg, 0.0, 1.0, gen)
+    particles, weights = pf_init(cfg, 0.0, 1.0, gen)
     for obs in (0.2, -0.7, 1.4, 0.0):
-        cloud, _ = pf_step(cloud, model, obs,
-                           lambda o, th: -0.5 * (o - th) ** 2, cfg, gen)
-        if abs(cloud.weights.sum() - 1.0) >= 1e-12:
+        particles, weights, _ = pf_step(particles, weights, model, obs,
+                                        lambda o, th: -0.5 * (o - th) ** 2,
+                                        cfg, gen)
+        if abs(weights.sum() - 1.0) >= 1e-12:
             failures.append("weights")
 
     # hard limiting never gains information

@@ -167,6 +167,14 @@ class TestSteadyState:
         approx = np.sqrt(model.alpha**2 * fbar / model.sigma**2)
         assert u == pytest.approx(approx, rel=0.01)
 
+    @pytest.mark.parametrize("fbar", [0.0, np.float64(5.0)])
+    def test_overflow_raises_without_warning(self, fbar, recwarn):
+        # sigma^2 = 1e-200 is a normal double, but t^2 overflows
+        model = StateSpaceModel(0.9, 1e-100, 0.0, 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            steady_state(model, fbar)
+        assert not recwarn.list
+
 
 class TestSlowEvolution:
     def setup_method(self):

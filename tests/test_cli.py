@@ -289,13 +289,20 @@ class TestBadNumbers:
         ("sweep", "--scenario", "uwb", "--snr-db", "3078", "--points", "2"),
         ("track", "--scenario", "uwb", "--blocks", "0"),
         ("bound", "--scenario", "uwb", "--blocks", "-1"),
+        ("bound", "--scenario", "uwb", "--sigma", "1e-200", "--blocks", "3"),
+        ("transient", "--scenario", "mobile", "--sigma", "1e-200"),
+        ("bound", "--scenario", "uwb", "--sigma", "1e-100", "--blocks", "2"),
+        ("bound", "--scenario", "ranging", "--sigma", "1e-100", "--blocks", "2"),
+        ("bound", "--scenario", "mobile", "--sigma", "1e-100", "--blocks", "2"),
     ], ids=["sigma-nan", "snr-nan", "snr-inf", "lambda-20", "lambda-nan",
             "unit-chips-on-gain", "snr-overflow", "snr-underflow",
             "snr-squared-overflow", "seed-negative", "finite-k-0",
             "fisher-info-overflow", "bound-info-overflow",
             "track-info-overflow", "transient-snr-subnormal",
             "fisher-snr-subnormal", "sweep-info-overflow", "track-blocks-0",
-            "bound-blocks-negative"])
+            "bound-blocks-negative", "bound-sigma-squared-underflow",
+            "transient-sigma-squared-underflow", "uwb-steady-overflow",
+            "ranging-steady-overflow", "mobile-steady-overflow"])
     def test_exit_2_without_output(self, tmp_path, capsys, argv):
         out_file = tmp_path / "out.csv"
         code, out, err = run(capsys, *argv, "--output", str(out_file))
@@ -306,7 +313,8 @@ class TestBadNumbers:
     @pytest.mark.parametrize("argv", [
         ("fisher", "--scenario", "ranging", "--snr-db", "3000"),
         ("sweep", "--scenario", "uwb", "--snr-db", "3078", "--points", "2"),
-    ], ids=["fisher-info-overflow", "sweep-info-overflow"])
+        ("bound", "--scenario", "mobile", "--sigma", "1e-100", "--blocks", "2"),
+    ], ids=["fisher-info-overflow", "sweep-info-overflow", "mobile-steady-overflow"])
     def test_overflow_leaves_only_the_error_line_on_stderr(self, tmp_path, capfd,
                                                             argv):
         # a fresh interpreter, so numpy's warnings reach fd 2 as they would

@@ -262,16 +262,17 @@ class TestStreamLayout:
                             for t in theta[1:]])
         liks = [make_likelihood(s.waveform, s.likelihood_gamma, rx)
                 for rx in RECEIVERS]
-        sq = _simulate_trial(s, theta, signals, liks, s.pf, noise, p, r)
+        sq = _simulate_trial(s, theta, signals, liks, noise, p, r)
         assert sq.shape == (2, s.blocks + 1)
         for i, lik in enumerate(liks):
             rng_obs = noise.generator((p, r + 1, 0))
             rng = noise.generator((p, r + 1, i + 1))
-            cloud = pf_init(s.pf, s.state.mu0, s.state.sigma0, rng)
-            est = [cloud.mean()]
+            particles, weights = pf_init(s.pf, s.state.mu0, s.state.sigma0, rng)
+            est = [np.dot(weights, particles)]
             for k in range(1, s.blocks + 1):
                 y = signals[k - 1] + rng_obs.standard_normal(signals.shape[1])
                 obs = sign_bit(y) if i == 0 else y
-                cloud, estimate = pf_step(cloud, s.state, obs, lik, s.pf, rng)
+                particles, weights, estimate = pf_step(
+                    particles, weights, s.state, obs, lik, s.pf, rng)
                 est.append(estimate)
             np.testing.assert_array_equal(sq[i], (np.array(est) - theta)**2)

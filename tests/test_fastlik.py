@@ -11,8 +11,9 @@ from onebit_tracking.fastlik import (DEFAULT_OVERSAMPLING,
                                      OneBitDelayLikelihood,
                                      OneBitLinearLikelihood, _DelayCorrelator,
                                      make_likelihood, periodic_cubic_interp)
-from onebit_tracking.signals import (CodeSequence, generate_gps_ca_code,
-                                     make_delay_waveform, make_pilot_waveform)
+from onebit_tracking.signals import (CodeSequence, LinearGainWaveform,
+                                     generate_gps_ca_code, make_delay_waveform,
+                                     make_pilot_waveform)
 
 
 def observe(ev, gamma, noise, position):
@@ -36,6 +37,17 @@ def pilot_setup():
     code = CodeSequence(np.array([1, -1, 1, -1, 1, -1, 1, -1, 1, 1],
                                  dtype=float), 1e-6)
     wf = make_pilot_waveform(code)
+    obs = observe(wf.eval(0.3), 1.0, NoiseModel(13), (1, 1))
+    return wf, obs
+
+
+@pytest.fixture(scope="module")
+def two_magnitude_setup():
+    """A unit-power pilot with two nonzero magnitudes of unequal counts
+    and no zero sample."""
+    pilot = np.array([1.0, -2.0, 2.0, 1.0, -1.0, -1.0, 1.0, 2.0, -1.0, 1.0])
+    wf = LinearGainWaveform(pilot * np.sqrt(pilot.size / np.sum(pilot**2)))
+    assert np.unique(np.abs(wf.pilot)).size == 2
     obs = observe(wf.eval(0.3), 1.0, NoiseModel(13), (1, 1))
     return wf, obs
 
@@ -154,8 +166,9 @@ class TestDelayCorrelator:
 
 
 class TestLinearLikelihoods:
-    def test_onebit_matches_exact(self, pilot_setup):
-        wf, obs = pilot_setup
+    @pytest.mark.parametrize("setup", ["pilot_setup", "two_magnitude_setup"])
+    def test_onebit_matches_exact(self, request, setup):
+        wf, obs = request.getfixturevalue(setup)
         lik = OneBitLinearLikelihood(wf)
         thetas = np.linspace(-0.8, 0.9, 23)
         exact = [loglik_onebit(obs.onebit, wf.eval(t), 1.0) for t in thetas]

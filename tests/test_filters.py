@@ -3,7 +3,7 @@ import pytest
 
 from onebit_tracking.channel import NoiseModel
 from onebit_tracking.fastlik import IdealLinearLikelihood
-from onebit_tracking.filters import (DegenerateCloudError, ParticleCloud,
+from onebit_tracking.filters import (DegenerateCloudError,
                                      ParticleFilterConfig, pf_init, pf_step,
                                      systematic_resample)
 from onebit_tracking.signals import CodeSequence, make_pilot_waveform
@@ -36,11 +36,11 @@ class TestConfig:
 class TestInit:
     def test_prior_draw(self):
         cfg = ParticleFilterConfig(num_particles=5000)
-        cloud = pf_init(cfg, 2.0, 0.3, np.random.default_rng(0))
-        assert cloud.particles.shape == (5000,)
-        assert cloud.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert cloud.mean() == pytest.approx(2.0, abs=0.02)
-        assert cloud.ess() == pytest.approx(5000.0)
+        particles, weights = pf_init(cfg, 2.0, 0.3, np.random.default_rng(0))
+        assert particles.shape == weights.shape == (5000,)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.dot(weights, particles) == pytest.approx(2.0, abs=0.02)
+        assert 1.0 / np.dot(weights, weights) == pytest.approx(5000.0)
 
 
 class TestResampling:
@@ -88,40 +88,59 @@ class TestPfStep:
         model = StateSpaceModel(0.9, 0.1, 0.0, 1.0)
         cfg = ParticleFilterConfig(num_particles=200, resample_threshold=0.01)
         rng = np.random.default_rng(0)
-        cloud = pf_init(cfg, 0.0, 1.0, rng)
+        particles, weights = pf_init(cfg, 0.0, 1.0, rng)
         loglik = lambda obs, th: -0.5 * (obs - th) ** 2
         for obs in (0.3, -0.5, 1.1):
-            cloud, _ = pf_step(cloud, model, obs, loglik, cfg, rng)
-            assert cloud.weights.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(cloud.weights >= 0)
+            particles, weights, _ = pf_step(particles, weights, model, obs,
+                                            loglik, cfg, rng)
+            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(weights >= 0)
 
     def test_flat_likelihood_leaves_weights_uniform(self):
         model = StateSpaceModel(0.9, 0.1, 0.0, 1.0)
         cfg = ParticleFilterConfig(num_particles=50, resample_threshold=0.01)
         rng = np.random.default_rng(1)
-        cloud = pf_init(cfg, 0.5, 0.2, rng)
-        new, estimate = pf_step(cloud, model, None,
-                                lambda obs, th: np.zeros(th.size), cfg, rng)
-        np.testing.assert_allclose(new.weights, 1 / 50, atol=1e-14)
-        assert estimate == pytest.approx(new.particles.mean())
+        particles, weights = pf_init(cfg, 0.5, 0.2, rng)
+        particles, weights, estimate = pf_step(
+            particles, weights, model, None, lambda obs, th: np.zeros(th.size),
+            cfg, rng)
+        np.testing.assert_allclose(weights, 1 / 50, atol=1e-14)
+        assert estimate == pytest.approx(particles.mean())
 
     def test_resampling_triggered_by_low_ess(self):
         model = StateSpaceModel(0.9, 0.1, 0.0, 1.0)
         cfg = ParticleFilterConfig(num_particles=100, resample_threshold=0.99)
         rng = np.random.default_rng(0)
-        cloud = pf_init(cfg, 0.0, 1.0, rng)
+        particles, weights = pf_init(cfg, 0.0, 1.0, rng)
         # sharply peaked likelihood collapses the ESS, forcing a resample
-        cloud, _ = pf_step(cloud, model, 0.0,
-                           lambda obs, th: -500.0 * th**2, cfg, rng)
-        assert cloud.ess() == pytest.approx(cfg.num_particles)
+        _, weights, _ = pf_step(particles, weights, model, 0.0,
+                                lambda obs, th: -500.0 * th**2, cfg, rng)
+        assert 1.0 / np.dot(weights, weights) == pytest.approx(cfg.num_particles)
+
+    def test_ess_bounds(self):
+        # a flat likelihood keeps ESS = L, above kappa L; one surviving
+        # particle gives ESS = 1 and every particle resamples onto it
+        model = StateSpaceModel(0.9, 0.1, 0.0, 1.0)
+        cfg = ParticleFilterConfig(num_particles=4, resample_threshold=0.5)
+        rng = np.random.default_rng(2)
+        particles, weights = pf_init(cfg, 0.0, 1.0, rng)
+        particles, weights, _ = pf_step(particles, weights, model, None,
+                                        lambda obs, th: np.zeros(th.size),
+                                        cfg, rng)
+        assert 1.0 / np.dot(weights, weights) == pytest.approx(4.0)
+        survivor = lambda obs, th: np.where(np.arange(th.size) == 2, 0.0, -np.inf)
+        particles, weights, estimate = pf_step(particles, weights, model, None,
+                                               survivor, cfg, rng)
+        np.testing.assert_array_equal(particles, np.full(4, estimate))
+        np.testing.assert_array_equal(weights, np.full(4, 0.25))
 
     def test_degenerate_cloud_raises(self):
         model = StateSpaceModel(0.9, 0.1, 0.0, 1.0)
         cfg = ParticleFilterConfig(num_particles=10)
         rng = np.random.default_rng(0)
-        cloud = pf_init(cfg, 0.0, 1.0, rng)
+        particles, weights = pf_init(cfg, 0.0, 1.0, rng)
         with pytest.raises(DegenerateCloudError):
-            pf_step(cloud, model, 0.0,
+            pf_step(particles, weights, model, 0.0,
                     lambda obs, th: np.full_like(th, -np.inf), cfg, rng)
 
     def test_tracks_kalman_posterior_on_linear_model(self):
@@ -132,14 +151,15 @@ class TestPfStep:
         cfg = ParticleFilterConfig(num_particles=20000)
         noise = NoiseModel(9)
         rng = noise.generator((0,))
-        cloud = pf_init(cfg, model.mu0, model.sigma0, rng)
+        particles, weights = pf_init(cfg, model.mu0, model.sigma0, rng)
         lik = IdealLinearLikelihood(wf)
         state = (model.mu0, model.sigma0**2)
         theta = 0.6
         for k in range(10):
             theta = model.alpha * theta + model.sigma * rng.standard_normal()
             y = theta * wf.pilot + rng.standard_normal(wf.pilot.size)
-            cloud, estimate = pf_step(cloud, model, y, lik, cfg, rng)
+            particles, weights, estimate = pf_step(particles, weights, model,
+                                                   y, lik, cfg, rng)
             state = kalman_step(state, model, y, wf.pilot, 1.0)
             assert estimate == pytest.approx(
                 state[0], abs=5 * np.sqrt(state[1] / cfg.num_particles) + 1e-3)
@@ -181,10 +201,3 @@ class TestKalman:
         with pytest.raises(ValueError):
             kalman_step((0.0, 0.0), model, np.zeros(2), np.ones(2), 1.0)
 
-
-class TestParticleCloud:
-    def test_ess_bounds(self):
-        uniform = ParticleCloud(np.zeros(4), np.full(4, 0.25))
-        point = ParticleCloud(np.zeros(4), np.array([1.0, 0, 0, 0]))
-        assert uniform.ess() == pytest.approx(4.0)
-        assert point.ess() == pytest.approx(1.0)

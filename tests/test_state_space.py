@@ -16,7 +16,9 @@ class TestModelValidation:
             StateSpaceModel(alpha, 0.1, 0.0, 1.0)
 
     @pytest.mark.parametrize("sigma,sigma0", [(0.0, 1.0), (-1.0, 1.0),
-                                              (1.0, 0.0), (1.0, -2.0)])
+                                              (1.0, 0.0), (1.0, -2.0),
+                                              (1e-160, 1.0), (1.0, 1e-200),
+                                              (1e200, 1.0), (np.nan, 1.0)])
     def test_positive_scales(self, sigma, sigma0):
         with pytest.raises(ValueError):
             StateSpaceModel(0.5, sigma, 0.0, sigma0)
