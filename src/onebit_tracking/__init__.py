@@ -8,7 +8,7 @@ imported from its submodule.
 """
 
 from .bounds import (BoundTrajectory, TransientReport, bound_recursion, db,
-                     slow_evolution_loss, steady_state, transient_report)
+                     steady_state, transient_report)
 from .channel import loglik_ideal, loglik_onebit
 from .experiments import (MonteCarloResult, Scenario, builtin_scenario,
                           finite_k_loss, run_bounds, run_montecarlo,
@@ -32,6 +32,5 @@ __all__ = [
     "generate_gps_ca_code", "loglik_ideal", "loglik_onebit",
     "make_delay_waveform", "make_likelihood", "make_pilot_waveform",
     "pf_init", "pf_step", "run_bounds", "run_montecarlo",
-    "slow_evolution_loss", "steady_fbar", "steady_state", "sweep_beta",
-    "transient_report",
+    "steady_fbar", "steady_state", "sweep_beta", "transient_report",
 ]

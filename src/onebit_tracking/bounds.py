@@ -47,19 +47,26 @@ class BoundTrajectory:
 
 @dataclass(frozen=True)
 class TransientReport:
-    xi: float                   # asymptotic convergence factor
-    k_lambda: int               # exact, from the closed-form solution
-    k_lambda_ideal: int
-    k_lambda_analytic: float    # -lambda / log10(xi), without the offset D
-    k_lambda_ideal_analytic: float
-    k_lambda_approx: float      # lambda / (2 log(sqrt(sigma^2 Fbar) + alpha))
-    quality: float              # lambda
-    conditions_ok: bool
+    """Transient-phase durations and steady state, one entry per receiver:
+    1-bit first, ideal second."""
+
+    xi: np.ndarray                  # (2,) asymptotic convergence factor
+    k_lambda: np.ndarray            # (2,) exact, from the closed-form solution
+    k_lambda_analytic: np.ndarray   # (2,) -lambda / log10(xi), without the offset D
+    steady: np.ndarray              # (2,) steady-state information U
+    k_lambda_approx: float          # lambda / (2 log(sqrt(sigma^2 Fbar) + alpha))
+    rho_approx: float               # sqrt(Fbar / Fbar_inf)
+    conditions_ok: bool             # the slow-evolution regime holds
 
     @property
     def delta(self) -> float:
         """Relative transient-phase delay of the 1-bit receiver."""
-        return self.k_lambda / self.k_lambda_ideal
+        return float(self.k_lambda[0] / self.k_lambda[1])
+
+    @property
+    def rho(self) -> float:
+        """Exact steady-state loss U / U_inf."""
+        return float(self.steady[0] / self.steady[1])
 
 
 def bound_recursion(model: StateSpaceModel, fbar,
@@ -99,102 +106,55 @@ def steady_state(model: StateSpaceModel, fbar: float) -> float:
     return u
 
 
-def slow_evolution_conditions(model: StateSpaceModel, fbar_onebit: float,
-                              fbar_ideal: float) -> dict:
-    """Numeric check of the slow-evolution regime.
-
-    Each "much less than" is read as a ratio of at most MUCH_LESS_RATIO.
-    Ratios cover the dominance of the cross term in the steady state
-    (for the 1-bit receiver) and the requirement that the state-space
-    information alpha^2/sigma^2 exceeds both expected Fisher values.
-    """
-    alpha, sigma = model.alpha, model.sigma
-    a2s2 = alpha**2 / sigma**2
-    ratios = {
-        "cross_term_dominates": (1.0 - alpha**2) ** 2
-                                / (alpha**2 * sigma**2 * max(fbar_onebit, np.finfo(float).tiny)),
-        "state_space_dominates_onebit": fbar_onebit / a2s2,
-        "state_space_dominates_ideal": fbar_ideal / a2s2,
-    }
-    return {"ratios": ratios,
-            "satisfied": all(r <= MUCH_LESS_RATIO for r in ratios.values())}
-
-
-@dataclass(frozen=True)
-class SlowEvolutionLoss:
-    rho: float                  # exact steady-state ratio U / U_inf
-    rho_approx: float           # sqrt(Fbar / Fbar_inf)
-    conditions_ok: bool
-
-
-def slow_evolution_loss(fbar_onebit: float, fbar_ideal: float,
-                        model: StateSpaceModel) -> SlowEvolutionLoss:
-    """Exact steady-state loss rho and its slow-evolution approximation."""
-    if fbar_onebit <= 0 or fbar_ideal <= 0:
-        raise ValueError("expected Fisher information must be positive")
-    rho = steady_state(model, fbar_onebit) / steady_state(model, fbar_ideal)
-    approx = float(np.sqrt(fbar_onebit / fbar_ideal))
-    cond = slow_evolution_conditions(model, fbar_onebit, fbar_ideal)
-    return SlowEvolutionLoss(rho=rho, rho_approx=approx,
-                             conditions_ok=cond["satisfied"])
-
-
-def convergence_factor(model: StateSpaceModel, fbar: float) -> float:
-    """Derivative of the recursion at its fixed point: alpha^2 (sigma^2 U + alpha^2)^-2."""
-    u = steady_state(model, fbar)
-    return float(model.alpha**2 / (model.sigma**2 * u + model.alpha**2) ** 2)
-
-
-def _k_lambda(model: StateSpaceModel, fbar: float, quality: float) -> int:
-    """Smallest k >= 1 with |U_k - U| <= eps |U_0 - U|, eps = 10^-quality.
-
-    By the exact solution (see transient_report) that holds once
-    xi^k <= eps (U_0 - U') / (U - U' + eps (U_0 - U)).
-    """
-    u = steady_state(model, fbar)
-    u_neg = -fbar * model.alpha**2 / (model.sigma**2 * u)
-    u0 = 1.0 / model.sigma0**2
-    eps = 10.0 ** (-quality)
-    if eps * abs(u0 - u) < np.finfo(float).eps * u:
-        raise ValueError(f"no steady-state entry at quality {quality}: the "
-                         "threshold is below the roundoff of the steady state")
-    x_max = eps * (u0 - u_neg) / (u - u_neg + eps * (u0 - u))
-    k = np.ceil(np.log(x_max) / np.log(convergence_factor(model, fbar)))
-    return max(1, int(k))
-
-
 def transient_report(model: StateSpaceModel, fbar_onebit: float,
                      fbar_ideal: float, quality: float) -> TransientReport:
-    """Transient-phase duration K_lambda for both receivers.
+    """Transient-phase duration K_lambda, steady state and the
+    slow-evolution regime for both receivers, one steady-state solve each.
 
-    quality is the exponent lambda > 1 in the threshold 10^-lambda;
-    matching that base-10 threshold, the asymptotic estimate of the
-    duration is -lambda / log10(xi), i.e. -1/log10(xi) blocks per decade
-    of error.  The recursion is a linear fractional map with fixed points
-    U > 0 > U' = -Fbar alpha^2 / (sigma^2 U) and solves exactly to
-    (U_k - U)/(U_k - U') = xi^k (U_0 - U)/(U_0 - U') (Anderson & Moore,
-    Optimal Filtering, 1979), which gives K_lambda in closed form; a
-    threshold below the roundoff of U is rejected.  K_lambda exceeds the
-    estimate by a lambda-independent offset
-    D = ln|(U - U')/(U_0 - U')| / |ln xi| plus less than one block of
-    rounding; the estimate leaves D out.  The convergence order is
-    linear (nu = 1) because the fixed-point derivative xi is nonzero.
+    quality is the exponent lambda > 1 in the threshold 10^-lambda.  The
+    recursion is a linear fractional map with fixed points U > 0 > U' =
+    -Fbar alpha^2 / (sigma^2 U) and multiplier xi = alpha^2 (sigma^2 U +
+    alpha^2)^-2, and solves exactly to (U_k - U)/(U_k - U') =
+    xi^k (U_0 - U)/(U_0 - U') (Anderson & Moore, Optimal Filtering,
+    1979), so K_lambda is the smallest k >= 1 with xi^k <= eps (U_0 - U')
+    / (U - U' + eps (U_0 - U)), eps = 10^-lambda; a threshold below the
+    roundoff of U is rejected.  The estimate -lambda / log10(xi) leaves
+    out the lambda-free offset D = ln|(U - U')/(U_0 - U')| / |ln xi|.
+    xi = 0 (alpha = 0, where U_1 = U, or sigma^2 U overflowing) gives
+    K_lambda = 1 and the estimate 0, the limit of -lambda / log10(xi).
+    Each "much less than" of the regime is a ratio of at most r =
+    MUCH_LESS_RATIO, compared as products: (1 - alpha^2)^2 <= r alpha^2
+    sigma^2 Fbar and sigma^2 max(Fbar, Fbar_inf) <= r alpha^2.
     """
     if not (np.isfinite(quality) and quality > 1):
         raise ValueError(f"quality exponent must be finite and exceed 1, got {quality}")
-    xi = convergence_factor(model, fbar_onebit)
-    xi_ideal = convergence_factor(model, fbar_ideal)
-    root = np.sqrt(model.sigma**2 * fbar_onebit) + model.alpha
-    approx = quality / (2.0 * np.log(root)) if root > 1 else np.inf
-    cond = slow_evolution_conditions(model, fbar_onebit, fbar_ideal)
+    if fbar_onebit <= 0 or fbar_ideal <= 0:
+        raise ValueError("expected Fisher information must be positive")
+    # Python floats: an overflowing product is inf, without a warning
+    fbar = (float(fbar_onebit), float(fbar_ideal))
+    alpha2, sigma2 = float(model.alpha) ** 2, float(model.sigma) ** 2
+    u0 = 1.0 / model.sigma0**2
+    eps = 10.0 ** (-quality)
+    steady, xi, k_lambda, analytic = [], [], [], []
+    for f in fbar:
+        u = steady_state(model, f)
+        if eps * abs(u0 - u) < np.finfo(float).eps * u:
+            raise ValueError(f"no steady-state entry at quality {quality}: the "
+                             "threshold is below the roundoff of the steady state")
+        w = sigma2 * u + alpha2
+        u_neg = -f * alpha2 / (sigma2 * u)
+        x_max = eps * (u0 - u_neg) / (u - u_neg + eps * (u0 - u))
+        steady.append(u)
+        xi.append(alpha2 / (w * w))
+        with np.errstate(divide="ignore"):     # log(0) = -inf at xi = 0
+            k_lambda.append(max(1, int(np.ceil(np.log(x_max) / np.log(xi[-1])))))
+            analytic.append(float(-quality / np.log10(xi[-1])))
+    root = np.sqrt(sigma2 * fbar[0]) + model.alpha
+    r = MUCH_LESS_RATIO
     return TransientReport(
-        xi=xi,
-        k_lambda=_k_lambda(model, fbar_onebit, quality),
-        k_lambda_ideal=_k_lambda(model, fbar_ideal, quality),
-        k_lambda_analytic=float(-quality / np.log10(xi)),
-        k_lambda_ideal_analytic=float(-quality / np.log10(xi_ideal)),
-        k_lambda_approx=float(approx),
-        quality=quality,
-        conditions_ok=cond["satisfied"],
-    )
-
+        xi=np.array(xi), k_lambda=np.array(k_lambda),
+        k_lambda_analytic=np.array(analytic), steady=np.array(steady),
+        k_lambda_approx=float(quality / (2.0 * np.log(root)) if root > 1 else np.inf),
+        rho_approx=float(np.sqrt(fbar[0] / fbar[1])),
+        conditions_ok=bool((1.0 - alpha2) ** 2 <= r * alpha2 * sigma2 * fbar[0]
+                           and sigma2 * max(fbar) <= r * alpha2))

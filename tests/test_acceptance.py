@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from onebit_tracking.bounds import (bound_recursion, db,
-                                    slow_evolution_conditions,
-                                    slow_evolution_loss, steady_state,
+from onebit_tracking.bounds import (bound_recursion, db, steady_state,
                                     transient_report)
 from onebit_tracking.cli import main
 from onebit_tracking.experiments import (builtin_scenario, run_bounds,
@@ -132,14 +130,13 @@ def slow_model(ranging):
 
 def test_criterion_05_slow_evolution_loss(capsys, slow_model, ranging_fbar):
     fbar, fbar_inf = ranging_fbar
-    cond = slow_evolution_conditions(slow_model, fbar, fbar_inf)
-    loss = slow_evolution_loss(fbar, fbar_inf, slow_model)
-    dev = abs(db(loss.rho) - db(np.sqrt(TWO_OVER_PI)))
-    ok = cond["satisfied"] and dev < 0.02
+    report = transient_report(slow_model, fbar, fbar_inf, quality=3.0)
+    dev = abs(db(report.rho) - db(np.sqrt(TWO_OVER_PI)))
+    ok = report.conditions_ok and dev < 0.02
     verdict(capsys, 5, ok,
-            f"slow-evolution steady loss {db(loss.rho):.4f} dB vs "
+            f"slow-evolution steady loss {db(report.rho):.4f} dB vs "
             f"-0.9806 dB (deviation {dev:.4f} dB, tol 0.02; regime "
-            f"conditions satisfied: {cond['satisfied']})")
+            f"conditions satisfied: {report.conditions_ok})")
 
 
 def test_criterion_06a_transient_delay_ratio(capsys, slow_model, ranging_fbar):
@@ -168,7 +165,7 @@ def test_criterion_06b_transient_duration_analytic(capsys, ranging,
     gaps, deviations = [], []
     for quality in (2.0, 3.0, 4.0, 6.0, 8.0):
         report = transient_report(ranging.state, fbar, fbar, quality)
-        gaps.append(report.k_lambda - report.k_lambda_analytic)
+        gaps.append(report.k_lambda[0] - report.k_lambda_analytic[0])
         deviations.append(abs(gaps[-1] - offset))
     spread = max(gaps) - min(gaps)
     worst = max(deviations)

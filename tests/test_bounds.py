@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from onebit_tracking.bounds import (bound_recursion, convergence_factor, db,
-                                    slow_evolution_conditions,
-                                    slow_evolution_loss, steady_state,
-                                    transient_report)
+from onebit_tracking import bounds
+from onebit_tracking.bounds import (MUCH_LESS_RATIO, bound_recursion, db,
+                                    steady_state, transient_report)
+from onebit_tracking.cli import main
 from onebit_tracking.experiments import builtin_scenario, steady_fbar
 from onebit_tracking.info import expected_fisher
 from onebit_tracking.state_space import StateSpaceModel, marginal_moments
@@ -50,6 +50,16 @@ def numpy_scalar_recursion(model, fbar, num_blocks):
     for k in range(1, num_blocks + 1):
         u[k] = 1.0 / (sigma**2 + alpha**2 / u[k - 1]) + fbar[k - 1]
     return u
+
+
+def ratio_conditions(model, fbar, fbar_inf):
+    """Oracle: the slow-evolution regime as three ratios, each at most
+    MUCH_LESS_RATIO (the cross term dominates the 1-bit steady state;
+    alpha^2/sigma^2 exceeds both expected Fisher values)."""
+    a2s2 = model.alpha**2 / model.sigma**2
+    ratios = [(1.0 - model.alpha**2) ** 2 / (model.alpha**2 * model.sigma**2 * fbar),
+              fbar / a2s2, fbar_inf / a2s2]
+    return ratios, all(r <= MUCH_LESS_RATIO for r in ratios)
 
 
 def random_model(rng):
@@ -183,23 +193,43 @@ class TestSlowEvolution:
         self.fbar = 181.0
         self.fbar_inf = 287.0
 
+    def report(self, model):
+        return transient_report(model, self.fbar, self.fbar_inf, quality=3.0)
+
     def test_conditions_satisfied(self):
-        cond = slow_evolution_conditions(self.model, self.fbar, self.fbar_inf)
-        assert cond["satisfied"]
+        assert self.report(self.model).conditions_ok
 
     def test_conditions_fail_for_fast_state(self):
         fast = StateSpaceModel(0.5, 1.0, 0.0, 0.1)
-        assert not slow_evolution_conditions(fast, self.fbar, self.fbar_inf)["satisfied"]
+        assert not self.report(fast).conditions_ok
 
     def test_loss_approximation(self):
-        loss = slow_evolution_loss(self.fbar, self.fbar_inf, self.model)
-        assert loss.conditions_ok
-        assert loss.rho_approx == pytest.approx(np.sqrt(self.fbar / self.fbar_inf))
-        assert abs(db(loss.rho) - db(loss.rho_approx)) < 0.02
+        report = self.report(self.model)
+        assert report.conditions_ok
+        assert report.rho_approx == pytest.approx(np.sqrt(self.fbar / self.fbar_inf))
+        assert abs(db(report.rho) - db(report.rho_approx)) < 0.02
 
     def test_rejects_zero_information(self):
         with pytest.raises(ValueError):
-            slow_evolution_loss(0.0, 1.0, self.model)
+            transient_report(self.model, 0.0, 1.0, quality=3.0)
+
+    def test_products_equal_ratio_oracle(self):
+        # draws around the regime's boundary, both outcomes, away from ties
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(1000):
+            model = StateSpaceModel(alpha=1.0 - 10.0 ** rng.uniform(-7, -1),
+                                    sigma=10.0 ** rng.uniform(-5, -1),
+                                    mu0=0.0, sigma0=1.0)
+            fbar = 10.0 ** rng.uniform(-1, 4)
+            fbar_inf = fbar * 10.0 ** rng.uniform(0, 1)
+            ratios, satisfied = ratio_conditions(model, fbar, fbar_inf)
+            if any(abs(r / MUCH_LESS_RATIO - 1.0) < 1e-9 for r in ratios):
+                continue
+            report = transient_report(model, fbar, fbar_inf, quality=2.0)
+            assert report.conditions_ok == satisfied
+            seen.add(satisfied)
+        assert seen == {False, True}
 
 
 class TestTransient:
@@ -210,16 +240,40 @@ class TestTransient:
         h = u * 1e-7
         step = lambda x: 1.0 / (model.sigma**2 + model.alpha**2 / x) + fbar
         numeric = (step(u + h) - step(u - h)) / (2 * h)
-        assert convergence_factor(model, fbar) == pytest.approx(numeric, rel=1e-5)
+        xi = transient_report(model, fbar, fbar, quality=3.0).xi
+        assert xi == pytest.approx([numeric, numeric], rel=1e-5)
+
+    def test_xi_over_random_draws(self):
+        # the test-side expression, squared with **; mobius.multiplier is
+        # no oracle at this tolerance (its own cancellation is ~1e-10)
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            model = random_model(rng)
+            fbar = 10.0 ** rng.uniform(-3, 4, size=2)
+            report = transient_report(model, *fbar, quality=2.0)
+            for xi, u in zip(report.xi, report.steady):
+                expected = model.alpha**2 / (model.sigma**2 * u + model.alpha**2) ** 2
+                assert xi == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_one_steady_state_solve_per_receiver(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(model, fbar):
+            calls.append(fbar)
+            return steady_state(model, fbar)
+
+        monkeypatch.setattr(bounds, "steady_state", counted)
+        assert main(["transient", "--scenario", "ranging"]) == 0
+        assert len(calls) == 2
 
     def test_empirical_duration_matches_direct_scan(self):
         model = StateSpaceModel(0.999, 0.001, 0.0, 0.5)
         fbar, fbar_inf = 20.0, 30.0
         report = transient_report(model, fbar, fbar_inf, quality=3.0)
         u_star = steady_state(model, fbar)
-        u = bound_recursion(model, fbar, 5 * report.k_lambda)
+        u = bound_recursion(model, fbar, 5 * report.k_lambda[0])
         inside = np.abs(u - u_star) <= 1e-3 * abs(u[0] - u_star)
-        assert report.k_lambda == np.argmax(inside[1:]) + 1
+        assert report.k_lambda[0] == np.argmax(inside[1:]) + 1
 
     @pytest.mark.parametrize("name", ["ranging", "uwb", "mobile"])
     def test_duration_equals_mobius_closed_form(self, name):
@@ -228,8 +282,7 @@ class TestTransient:
         fbar, fbar_inf = steady_fbar(scenario)
         for quality in (1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0):
             report = transient_report(scenario.state, fbar, fbar_inf, quality)
-            for k, f in ((report.k_lambda, fbar),
-                         (report.k_lambda_ideal, fbar_inf)):
+            for k, f in zip(report.k_lambda, (fbar, fbar_inf)):
                 assert k == mobius.k_lambda(scenario.state, f, quality)
                 assert k == scanned_k_lambda(scenario.state, f, quality)
 

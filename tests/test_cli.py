@@ -183,6 +183,30 @@ class TestTransient:
                              steady_fbar(scenario)):
             assert int(values[key]) == mobius.k_lambda(scenario.state, fbar, 14.5)
 
+    @pytest.mark.parametrize("argv", [
+        ("--scenario", "uwb", "--sigma", "1e150"),
+        ("--scenario", "mobile", "--alpha", "0"),
+    ], ids=["sigma-squared-u-overflow", "alpha-0"])
+    def test_zero_convergence_factor_settles_in_one_block(self, tmp_path, capfd,
+                                                          argv):
+        # xi = 0: at alpha = 0 U_1 = U exactly; at sigma 1e150 sigma^2 U
+        # overflows.  A fresh interpreter, so a numpy warning would reach
+        # fd 2 as it does from the command line.
+        src = os.path.dirname(os.path.dirname(onebit_tracking.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONWARNINGS", None)
+        out_file = tmp_path / "out.csv"
+        proc = subprocess.run([sys.executable, "-m", "onebit_tracking.cli",
+                               "transient", *argv, "--output", str(out_file)],
+                              env=env)
+        out, err = capfd.readouterr()
+        assert proc.returncode == 0
+        assert out == "" and err == ""
+        rows = out_file.read_text().splitlines()
+        for row in ("xi,0", "k_lambda,1", "k_lambda_ideal,1",
+                    "k_lambda_analytic,0"):
+            assert row in rows
+
 
 class TestConfigHandling:
     def test_config_file(self, tmp_path, capsys):

@@ -1,13 +1,19 @@
 """Write the CLI's reference CSVs and their SHA-256 digests.
 
     PYTHONPATH=src python tools/csv_digests.py OUTDIR
+    PYTHONPATH=src python tools/csv_digests.py --record
 
-runs the fixed command list below through ``cli.main``, writes each CSV
-into OUTDIR and writes ``OUTDIR/SHA256SUMS`` in ``sha256sum`` format.  A
-change that must leave the outputs byte-identical runs this once on
-each tree (``PYTHONPATH`` selects the package) and compares the two
-SHA256SUMS files, e.g. with ``diff``.  Exits 1 if a command exits with a
-code other than 0 or 3 (3: completed with discarded trials).
+The first form runs the fixed command list below through ``cli.main``,
+writes each CSV into OUTDIR and writes ``OUTDIR/SHA256SUMS`` in
+``sha256sum`` format; running it on two trees (``PYTHONPATH`` selects
+the package) and comparing the two SHA256SUMS files, e.g. with
+``diff``, shows which outputs a change moved.  ``--record`` runs the
+same commands in a temporary directory and rewrites the committed
+reference ``tests/reference/SHA256SUMS``, headed by the numpy and scipy
+versions the digests depend on; ``tests/test_reference_csvs.py``
+compares every run of the test suite with it.  Exits 1 if a command
+exits with a code other than 0 or 3 (3: completed with discarded
+trials).
 """
 
 from __future__ import annotations
@@ -15,8 +21,15 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+import tempfile
+
+import numpy as np
+import scipy
 
 from onebit_tracking import cli
+
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tests", "reference", "SHA256SUMS")
 
 _TRACK_SMALL = ["--trials", "2", "--realizations", "2", "--blocks", "40",
                 "--seed", "0"]
@@ -52,28 +65,51 @@ def commands() -> list:
     return runs
 
 
+def versions() -> str:
+    """The header line of the reference: the builds the digests depend on."""
+    return f"# numpy {np.__version__} scipy {scipy.__version__}\n"
+
+
+def digests(outdir: str, log) -> dict:
+    """Run every command into outdir, logging each exit code to log;
+    {CSV name: SHA-256 hex digest, or None for a command that exited
+    with a code other than 0 or 3}."""
+    sums = {}
+    for stem, args in commands():
+        path = os.path.join(outdir, stem + ".csv")
+        code = cli.main([*args, "--output", path])
+        print(f"{code}  {' '.join(args)}", file=log)
+        sums[stem + ".csv"] = None
+        if code in (0, 3):
+            with open(path, "rb") as fh:
+                sums[stem + ".csv"] = hashlib.sha256(fh.read()).hexdigest()
+    return sums
+
+
+def _write(path: str, sums: dict, header: str) -> None:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header)
+        fh.writelines(f"{digest}  {name}\n" for name, digest in sums.items()
+                      if digest is not None)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    outdir = argv[0]
-    os.makedirs(outdir, exist_ok=True)
     print(f"package: {os.path.dirname(cli.__file__)}", file=sys.stderr)
-    sums, failed = [], False
-    for stem, args in commands():
-        path = os.path.join(outdir, stem + ".csv")
-        code = cli.main([*args, "--output", path])
-        print(f"{code}  {' '.join(args)}", file=sys.stderr)
-        if code not in (0, 3):
-            failed = True
-            continue
-        with open(path, "rb") as fh:
-            sums.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {stem}.csv\n")
-    with open(os.path.join(outdir, "SHA256SUMS"), "w", encoding="ascii",
-              newline="\n") as fh:
-        fh.writelines(sums)
-    return 1 if failed else 0
+    if argv[0] == "--record":
+        with tempfile.TemporaryDirectory() as outdir:
+            sums = digests(outdir, sys.stderr)
+        if None not in sums.values():
+            _write(REFERENCE, sums, versions())
+            print(f"recorded {len(sums)} digests in {REFERENCE}", file=sys.stderr)
+    else:
+        os.makedirs(argv[0], exist_ok=True)
+        sums = digests(argv[0], sys.stderr)
+        _write(os.path.join(argv[0], "SHA256SUMS"), sums, "")
+    return 1 if None in sums.values() else 0
 
 
 if __name__ == "__main__":
