@@ -69,18 +69,12 @@ class TransientReport:
         return float(self.steady[0] / self.steady[1])
 
 
-def bound_recursion(model: StateSpaceModel, fbar,
-                    num_blocks: int) -> np.ndarray:
-    """Run the information recursion; returns U_0 .. U_K (length K+1).
-
-    fbar may be a scalar (stationary expected Fisher information) or a
-    length-K sequence of per-block values Fbar_k for k = 1..K.
-    """
-    if np.ndim(fbar) == 0:
-        fbar = np.full(num_blocks, fbar, dtype=float)
+def bound_recursion(model: StateSpaceModel, fbar) -> np.ndarray:
+    """Run the information recursion over the per-block expected Fisher
+    information Fbar_1 .. Fbar_K (a 1-d sequence); returns U_0 .. U_K."""
     fbar = np.asarray(fbar, dtype=float)
-    if fbar.shape != (num_blocks,):
-        raise ValueError(f"need {num_blocks} Fbar values, got {fbar.size}")
+    if fbar.ndim != 1:
+        raise ValueError(f"Fbar must be 1-d, got shape {fbar.shape}")
     if np.any(fbar < 0):
         raise ValueError("Fbar must be nonnegative")
     # Python floats: the same IEEE operations as on numpy scalars, without

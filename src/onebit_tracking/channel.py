@@ -42,7 +42,7 @@ class NoiseModel:
 
     seed: int
 
-    def generator(self, stream_position: tuple = ()) -> np.random.Generator:
+    def generator(self, stream_position: tuple) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(stream_position))
         return np.random.Generator(np.random.Philox(ss))
 

@@ -83,7 +83,7 @@ def _parse_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -152,13 +152,17 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(lines: list, output: str = None) -> None:
+def _emit(lines: list, output) -> None:
+    # the file is opened only once the command has run: a failure leaves none
     text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 def cmd_fisher(cfg: dict) -> int:

@@ -70,7 +70,6 @@ class Scenario:
     snr_db: float
     state: StateSpaceModel      # in seconds (delay) or dimensionless (gain)
     blocks: int
-    chip_duration: float
     pf: ParticleFilterConfig
 
     def __post_init__(self):
@@ -91,6 +90,11 @@ class Scenario:
         return _linear_snr(self.snr_db)
 
     @property
+    def chip_duration(self) -> float:
+        """Chip duration T_c of the delay waveform's code, in seconds."""
+        return self.waveform.code.chip_duration
+
+    @property
     def gamma(self) -> float:
         """Amplitude 10^(snr_db/20)."""
         return 10.0 ** (self.snr_db / 20.0)
@@ -108,7 +112,7 @@ class Scenario:
                       "meters": SPEED_OF_LIGHT,
                       "native": 1.0}
         else:
-            scales = {"native": 1.0, "dimensionless": 1.0}
+            scales = {"native": 1.0}
         if unit not in scales:
             raise ValueError(f"unit {unit!r} not applicable to scenario {self.name!r}")
         return scales[unit]
@@ -140,8 +144,7 @@ def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
                                 mu0=398.7342 * tc, sigma0=0.1 * tc)
         return Scenario(
             name=name, waveform=make_delay_waveform(code), snr_db=snr_db,
-            state=state, blocks=250 if blocks is None else blocks,
-            chip_duration=tc, pf=pf,
+            state=state, blocks=250 if blocks is None else blocks, pf=pf,
         )
     if name in ("uwb", "mobile"):
         if name == "uwb":
@@ -166,8 +169,7 @@ def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
                                 mu0=np.sqrt(snr), sigma0=sigma0)
         return Scenario(
             name=name, waveform=waveform, snr_db=snr_db, state=state,
-            blocks=num_blocks if blocks is None else blocks,
-            chip_duration=tc, pf=pf,
+            blocks=num_blocks if blocks is None else blocks, pf=pf,
         )
     raise ValueError(f"unknown scenario {name!r}; known: {SCENARIO_NAMES}")
 
@@ -219,7 +221,7 @@ def run_bounds(scenario: Scenario) -> BoundTrajectory:
                                     mean, var)
     # looked up on the module, where the benchmark tracer wraps it
     return BoundTrajectory(
-        u=np.stack([bounds.bound_recursion(state, row, k) for row in fbar_k]),
+        u=np.stack([bounds.bound_recursion(state, row) for row in fbar_k]),
         steady=np.array([steady_state(state, f) for f in fbar]))
 
 
@@ -228,13 +230,9 @@ class MonteCarloResult:
     """Aggregated filter errors against the tracking bound, in report_unit;
     rmse and bound have one row per receiver in RECEIVERS order."""
 
-    k: np.ndarray
     rmse: np.ndarray             # (2, K+1)
     bound: np.ndarray            # U_k^{-1/2}, (2, K+1)
-    trials: int                  # trajectory count P
-    realizations: int            # noise realizations per trajectory R
-    discarded: int
-    unit: str
+    discarded: int               # degenerate trials dropped from the averages
 
 
 def _simulate_trial(scenario: Scenario, theta: np.ndarray,
@@ -265,8 +263,7 @@ def _trajectory_worker(scenario: Scenario, master_seed: int, p: int,
     """The pool work unit: all realizations of trajectory p, as
     (p, sse_onebit, sse_ideal, completed, discarded)."""
     noise = NoiseModel(master_seed)
-    model = scenario.state
-    theta = sample_trajectory(model, scenario.blocks, noise.generator((p,)))
+    theta = sample_trajectory(scenario.state, scenario.blocks, noise.generator((p,)))
     signals = np.stack([scenario.likelihood_gamma * scenario.waveform.signal(t)
                         for t in theta[1:]])
     likelihoods = [make_likelihood(scenario.waveform,
@@ -320,28 +317,33 @@ def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,
         raise RuntimeError("every Monte-Carlo trial degenerated")
 
     scale = scenario.report_scale
-    return MonteCarloResult(
-        k=np.arange(scenario.blocks + 1),
-        rmse=scale * np.sqrt(sse / completed),
-        bound=scale / np.sqrt(bt.u),
-        trials=processes, realizations=realizations,
-        discarded=discarded, unit=scenario.report_unit,
-    )
+    return MonteCarloResult(rmse=scale * np.sqrt(sse / completed),
+                            bound=scale / np.sqrt(bt.u), discarded=discarded)
+
+
+def _beta_states(scenario: Scenario, betas) -> list:
+    """(beta, state) per beta = 1 - alpha on a gain scenario, with sigma^2 =
+    (1 - alpha^2) SNR keeping the stationary gain N(0, SNR) fixed; a list,
+    so that every check runs before the caller computes anything."""
+    if scenario.kind != "linear":
+        raise ValueError("the beta sweeps apply to the gain-tracking scenarios")
+    betas = np.asarray(betas, dtype=float)
+    if not np.all((betas > 0) & (betas <= 1)):      # NaN fails too
+        raise ValueError("beta values must lie in (0, 1]")
+    snr = scenario.snr
+    return [(beta, replace(scenario.state, alpha=alpha,
+                           sigma=np.sqrt((1.0 - alpha**2) * snr)))
+            for beta, alpha in zip(betas, 1.0 - betas)]
 
 
 def sweep_beta(scenario_base: Scenario, beta_grid) -> list:
     """Steady-state loss rho and no-tracking loss psi per beta = 1 - alpha.
 
     The expected Fisher values are taken over the stationary gain
-    distribution N(0, SNR), which the innovation scaling sigma^2 =
-    (1 - alpha^2) SNR keeps fixed across the sweep, so only the
-    steady-state fixed points depend on beta.
+    distribution N(0, SNR), which stays fixed across the sweep, so only
+    the steady-state fixed points depend on beta.
     """
-    if scenario_base.kind != "linear":
-        raise ValueError("the beta sweep applies to the gain-tracking scenarios")
-    beta_grid = np.asarray(beta_grid, dtype=float)
-    if np.any((beta_grid <= 0) | (beta_grid > 1)):
-        raise ValueError("beta values must lie in (0, 1]")
+    states = _beta_states(scenario_base, beta_grid)
     snr = scenario_base.snr
     # overflow is reported by the finiteness check below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
@@ -352,12 +354,8 @@ def sweep_beta(scenario_base: Scenario, beta_grid) -> list:
         raise ValueError("Fisher information is not finite at snr_db "
                          f"{scenario_base.snr_db}")
     rows = []
-    for beta in beta_grid:
-        alpha = 1.0 - beta
-        model = replace(scenario_base.state, alpha=alpha,
-                        sigma=np.sqrt((1.0 - alpha**2) * snr))
-        rho = (steady_state(model, fb_onebit)
-               / steady_state(model, fb_ideal))
+    for beta, model in states:
+        rho = steady_state(model, fb_onebit) / steady_state(model, fb_ideal)
         rows.append((float(beta), float(db(rho)), float(psi_db)))
     return rows
 
@@ -369,16 +367,10 @@ def finite_k_loss(scenario_base: Scenario, beta_list, num_blocks: int) -> list:
     starts at 0 dB (equal initialization) and relaxes toward the
     steady-state loss of its beta.
     """
-    if scenario_base.kind != "linear":
-        raise ValueError("the finite-block sweep applies to the gain-tracking scenarios")
     if num_blocks < 1:
         raise ValueError("need at least one block")
-    snr = scenario_base.snr
     rows = []
-    for beta in np.asarray(beta_list, dtype=float):
-        alpha = 1.0 - beta
-        model = replace(scenario_base.state, alpha=alpha,
-                        sigma=np.sqrt((1.0 - alpha**2) * snr))
+    for beta, model in _beta_states(scenario_base, beta_list):
         scenario = replace(scenario_base, state=model, blocks=num_blocks)
         rho_db = db(run_bounds(scenario).rho).tolist()
         rows.extend((float(beta), k, r) for k, r in enumerate(rho_db))

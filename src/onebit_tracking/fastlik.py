@@ -128,7 +128,7 @@ class OneBitLinearLikelihood:
     contribute the constant log(1/2) each.
     """
 
-    def __init__(self, waveform: LinearGainWaveform, gamma: float = 1.0):
+    def __init__(self, waveform: LinearGainWaveform, gamma: float):
         pilot = gamma * waveform.pilot
         magnitudes = np.abs(pilot)
         self._values = np.unique(magnitudes[magnitudes > 0])
@@ -153,7 +153,7 @@ class OneBitLinearLikelihood:
 class IdealLinearLikelihood:
     """Gaussian block log-likelihood for the linear-gain pilot model."""
 
-    def __init__(self, waveform: LinearGainWaveform, gamma: float = 1.0):
+    def __init__(self, waveform: LinearGainWaveform, gamma: float):
         self._pilot = gamma * waveform.pilot
         self._energy = float(np.dot(self._pilot, self._pilot))
         self._const = -0.5 * self._pilot.size * np.log(2.0 * np.pi)

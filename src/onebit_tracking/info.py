@@ -27,7 +27,6 @@ QUADRATURE_NODES = 33
 class BayesReport:
     jbar_onebit: float      # F-bar + J_p
     jbar_ideal: float       # F-bar_inf + J_p
-    j_prior: float
 
     @property
     def psi(self) -> float:
@@ -84,4 +83,4 @@ def bayes_report(fbar_onebit: float, fbar_ideal: float, j_prior: float) -> Bayes
     j_inf = fbar_ideal + j_prior
     if j == 0.0 and j_inf == 0.0:
         raise ZeroDivisionError("both receivers carry zero information; psi undefined")
-    return BayesReport(jbar_onebit=j, jbar_ideal=j_inf, j_prior=j_prior)
+    return BayesReport(jbar_onebit=j, jbar_ideal=j_inf)

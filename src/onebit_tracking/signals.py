@@ -48,11 +48,6 @@ class CodeSequence:
     def length(self) -> int:
         return self.symbols.size
 
-    @property
-    def period(self) -> float:
-        """Code period C * T_c in seconds."""
-        return self.length * self.chip_duration
-
 
 def generate_gps_ca_code(prn: int, chip_duration: float = 1.0 / 1.023e6) -> CodeSequence:
     """Generate the 1023-chip GPS C/A Gold code for a PRN in 1..32.
@@ -106,16 +101,9 @@ class DelayWaveform:
         return self.spectrum.size
 
     @property
-    def bandwidth(self) -> float:
-        return 1.0 / self.code.chip_duration
-
-    @property
     def sample_rate(self) -> float:
-        return 2.0 * self.bandwidth
-
-    @property
-    def period(self) -> float:
-        return self.code.period
+        """f_s = 2B with the one-sided bandwidth B = 1/T_c."""
+        return 2.0 / self.code.chip_duration
 
     def _delayed_spectrum(self, theta: float) -> np.ndarray:
         """DFT coefficients of s(theta): the spectrum times the delay phase."""

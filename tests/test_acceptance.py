@@ -93,7 +93,7 @@ def test_criterion_03_kalman_bcrb_tightness(capsys, uwb):
     model = uwb.state
     pilot = uwb.waveform.pilot
     fbar_inf = fisher_ideal(uwb.waveform.eval(0.0), 1.0)
-    u = bound_recursion(model, fbar_inf, 500)
+    u = bound_recursion(model, np.full(500, fbar_inf))
     state = (model.mu0, model.sigma0**2)
     worst = abs(1.0 / u[0] - state[1]) / state[1]
     for k in range(1, 501):

@@ -71,7 +71,7 @@ def random_model(rng):
 class TestRecursion:
     def test_initialization(self):
         model = StateSpaceModel(0.9, 0.1, 0.0, 0.5)
-        u = bound_recursion(model, 3.0, 10)
+        u = bound_recursion(model, np.full(10, 3.0))
         assert u[0] == pytest.approx(1.0 / 0.25)
 
     def test_assemblies_agree(self):
@@ -81,14 +81,14 @@ class TestRecursion:
             if model.alpha == 0.0:
                 continue
             fbar = 10.0 ** rng.uniform(-2, 3)
-            a = bound_recursion(model, fbar, 30)
+            a = bound_recursion(model, np.full(30, fbar))
             b = dmatrix_recursion(model, fbar, 30)
             np.testing.assert_allclose(a, b, rtol=1e-9)
 
     def test_per_block_sequence(self):
         model = StateSpaceModel(0.9, 0.1, 0.0, 0.5)
         fbar = np.array([1.0, 2.0, 3.0])
-        u = bound_recursion(model, fbar, 3)
+        u = bound_recursion(model, fbar)
         manual = [1.0 / 0.25]
         for f in fbar:
             manual.append(1.0 / (0.01 + 0.81 / manual[-1]) + f)
@@ -96,7 +96,7 @@ class TestRecursion:
 
     def test_no_measurement_matches_prior_prediction(self):
         model = StateSpaceModel(0.9, 0.1, 0.0, 0.5)
-        u = bound_recursion(model, 0.0, 20)
+        u = bound_recursion(model, np.zeros(20))
         var = 0.25
         for k in range(1, 21):
             var = 0.81 * var + 0.01
@@ -104,12 +104,12 @@ class TestRecursion:
 
     def test_memoryless_recursion(self):
         model = StateSpaceModel(0.0, 0.5, 0.0, 1.0)
-        u = bound_recursion(model, 3.0, 5)
+        u = bound_recursion(model, np.full(5, 3.0))
         np.testing.assert_allclose(u[1:], 1 / 0.25 + 3.0, rtol=1e-14)
 
     def test_monotone_when_started_below_steady(self):
         model = StateSpaceModel(0.99, 0.05, 0.0, 2.0)
-        u = bound_recursion(model, 7.0, 200)
+        u = bound_recursion(model, np.full(200, 7.0))
         u_star = steady_state(model, 7.0)
         assert u[0] < u_star
         # nondecreasing (strict until roundoff convergence) toward U
@@ -119,8 +119,8 @@ class TestRecursion:
 
     def test_more_information_never_hurts(self):
         model = StateSpaceModel(0.95, 0.1, 0.0, 0.7)
-        a = bound_recursion(model, 2.0, 50)
-        b = bound_recursion(model, 5.0, 50)
+        a = bound_recursion(model, np.full(50, 2.0))
+        b = bound_recursion(model, np.full(50, 5.0))
         assert np.all(a <= b + 1e-12)
 
     def test_equals_numpy_scalar_recursion(self):
@@ -129,21 +129,23 @@ class TestRecursion:
         k = s.blocks
         mean, var = marginal_moments(s.state, np.arange(1, k + 1))
         fbar_k = expected_fisher(s.waveform, s.likelihood_gamma, mean, var)
-        for fbar in (fbar_k, steady_fbar(s)[1]):
-            u = bound_recursion(s.state, fbar, k)
+        for fbar in (fbar_k, np.full(k, steady_fbar(s)[1])):
+            u = bound_recursion(s.state, fbar)
             assert u.dtype == np.float64 and u.shape == (k + 1,)
             np.testing.assert_array_equal(
                 u, numpy_scalar_recursion(s.state, fbar, k))
 
     def test_bad_inputs(self):
         model = StateSpaceModel(0.9, 0.1, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            bound_recursion(model, [1.0, 2.0], 3)
-        # only a scalar is broadcast over the blocks
-        with pytest.raises(ValueError):
-            bound_recursion(model, [3.0], 5)
-        with pytest.raises(ValueError):
-            bound_recursion(model, -1.0, 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            bound_recursion(model, [1.0, -1.0, 2.0])
+
+    @pytest.mark.parametrize("fbar", [3.0, np.full((2, 3), 3.0)],
+                             ids=["scalar", "2-d"])
+    def test_takes_only_per_block_values(self, fbar):
+        model = StateSpaceModel(0.9, 0.1, 0.0, 0.5)
+        with pytest.raises(ValueError, match="1-d"):
+            bound_recursion(model, fbar)
 
 
 class TestSteadyState:
@@ -158,7 +160,7 @@ class TestSteadyState:
 
     def test_recursion_converges_to_it(self):
         model = StateSpaceModel(0.99, 0.05, 0.0, 1.0)
-        u = bound_recursion(model, 7.0, 3000)
+        u = bound_recursion(model, np.full(3000, 7.0))
         assert u[-1] == pytest.approx(steady_state(model, 7.0), rel=1e-10)
 
     def test_memoryless_case(self):
@@ -271,7 +273,7 @@ class TestTransient:
         fbar, fbar_inf = 20.0, 30.0
         report = transient_report(model, fbar, fbar_inf, quality=3.0)
         u_star = steady_state(model, fbar)
-        u = bound_recursion(model, fbar, 5 * report.k_lambda[0])
+        u = bound_recursion(model, np.full(5 * report.k_lambda[0], fbar))
         inside = np.abs(u - u_star) <= 1e-3 * abs(u[0] - u_star)
         assert report.k_lambda[0] == np.argmax(inside[1:]) + 1
 

@@ -264,6 +264,14 @@ class TestConfigHandling:
         assert code == 2 and out == ""
         assert "'bayes'" in err
 
+    def test_non_ascii_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("scenario = uwb # r\u00e9glage\n".encode("utf-8"))
+        code, out, err = run(capsys, "fisher", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read config file {cfg}: ")
+        assert err.count("\n") == 1
+
 
 class TestParameterTable:
     SAMPLES = {int: "3", float: "0.25", str: "auto"}
@@ -333,6 +341,18 @@ class TestBadNumbers:
         assert code == 2
         assert err.startswith("error: ")
         assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."],
+                             ids=["output-in-missing-directory",
+                                  "output-is-a-directory"])
+    def test_unopenable_output_is_exit_2(self, tmp_path, capsys, target):
+        path = tmp_path / target
+        code, out, err = run(capsys, "bound", "--scenario", "uwb",
+                             "--blocks", "2", "--output", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == []
 
     @pytest.mark.parametrize("argv", [
         ("fisher", "--scenario", "ranging", "--snr-db", "3000"),

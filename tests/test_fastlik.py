@@ -102,7 +102,7 @@ class TestDelayLikelihoods:
         lik = OneBitDelayLikelihood(wf, gamma)
         thetas = np.array([theta])
         a = lik(obs.onebit, thetas)
-        b = lik(obs.onebit, thetas + wf.period)
+        b = lik(obs.onebit, thetas + wf.code.length * wf.code.chip_duration)
         np.testing.assert_allclose(a, b, atol=1e-8)
 
     def test_peak_near_true_delay(self, delay_setup):
@@ -169,14 +169,14 @@ class TestLinearLikelihoods:
     @pytest.mark.parametrize("setup", ["pilot_setup", "two_magnitude_setup"])
     def test_onebit_matches_exact(self, request, setup):
         wf, obs = request.getfixturevalue(setup)
-        lik = OneBitLinearLikelihood(wf)
+        lik = OneBitLinearLikelihood(wf, 1.0)
         thetas = np.linspace(-0.8, 0.9, 23)
         exact = [loglik_onebit(obs.onebit, wf.eval(t), 1.0) for t in thetas]
         np.testing.assert_allclose(lik(obs.onebit, thetas), exact, atol=1e-10)
 
     def test_ideal_matches_exact(self, pilot_setup):
         wf, obs = pilot_setup
-        lik = IdealLinearLikelihood(wf)
+        lik = IdealLinearLikelihood(wf, 1.0)
         thetas = np.linspace(-0.8, 0.9, 23)
         exact = [loglik_ideal(obs.ideal, wf.eval(t), 1.0) for t in thetas]
         np.testing.assert_allclose(lik(obs.ideal, thetas), exact, atol=1e-10)

@@ -152,7 +152,7 @@ class TestPfStep:
         noise = NoiseModel(9)
         rng = noise.generator((0,))
         particles, weights = pf_init(cfg, model.mu0, model.sigma0, rng)
-        lik = IdealLinearLikelihood(wf)
+        lik = IdealLinearLikelihood(wf, 1.0)
         state = (model.mu0, model.sigma0**2)
         theta = 0.6
         for k in range(10):

@@ -64,8 +64,9 @@ class TestGpsCode:
                                       np.where(chips == 1, 1.0, -1.0))
 
     def test_period(self):
+        # 1023 chips at 1.023 Mchip/s: one code period lasts 1 ms
         code = generate_gps_ca_code(1)
-        assert code.period == pytest.approx(1023 / 1.023e6)
+        assert code.length * code.chip_duration == pytest.approx(1e-3)
 
     @pytest.mark.parametrize("prn", [0, 33, -1, 1.5, "5", True])
     def test_invalid_prn(self, prn):
@@ -113,7 +114,8 @@ class TestDelayWaveform:
     def test_periodic_in_code_period(self, delay_waveform):
         theta = 0.3 * delay_waveform.code.chip_duration
         a = delay_waveform.eval(theta)
-        b = delay_waveform.eval(theta + delay_waveform.period)
+        code = delay_waveform.code
+        b = delay_waveform.eval(theta + code.length * code.chip_duration)
         np.testing.assert_allclose(a.s, b.s, atol=1e-9)
 
     def test_chip_shift_is_cyclic_sample_shift(self, delay_waveform):
