@@ -240,21 +240,24 @@ def _simulate_trial(scenario: Scenario, theta: np.ndarray,
                     noise: NoiseModel, p: int, r: int) -> np.ndarray:
     """One (trajectory, realization) trial; squared errors per receiver
     and block.  Receiver i filters with likelihoods[i] and its own
-    generator (p, r + 1, i + 1); the observation noise is (p, r + 1, 0)."""
+    generator (p, r + 1, i + 1); the observation noise is (p, r + 1, 0),
+    one standard_normal(n) per block in block order."""
     model, config = scenario.state, scenario.pf
     rng_obs = noise.generator((p, r + 1, 0))
-    rngs = [noise.generator((p, r + 1, i + 1)) for i in range(len(likelihoods))]
-    # each receiver's (particles, weights)
-    clouds = [pf_init(config, model.mu0, model.sigma0, rng) for rng in rngs]
-    est = np.empty((len(clouds), theta.size))
-    est[:, 0] = [np.dot(w, x) for x, w in clouds]
-    n = signals.shape[1]
+    rng_1bit, rng_ideal = (noise.generator((p, r + 1, i)) for i in (1, 2))
+    lik_1bit, lik_ideal = likelihoods
+    x_1bit, w_1bit = pf_init(config, model.mu0, model.sigma0, rng_1bit)
+    x_ideal, w_ideal = pf_init(config, model.mu0, model.sigma0, rng_ideal)
+    est = np.empty((2, theta.size))
+    est[:, 0] = np.dot(w_1bit, x_1bit), np.dot(w_ideal, x_ideal)
+    y = np.empty(signals.shape[1])
     for k in range(1, theta.size):
-        y = signals[k - 1] + rng_obs.standard_normal(n)
-        for i, obs in enumerate((sign_bit(y), y)):
-            x, w, est[i, k] = pf_step(*clouds[i], model, obs, likelihoods[i],
-                                      config, rngs[i])
-            clouds[i] = x, w
+        rng_obs.standard_normal(out=y)
+        y += signals[k - 1]
+        x_1bit, w_1bit, est[0, k] = pf_step(x_1bit, w_1bit, model, sign_bit(y),
+                                            lik_1bit, config, rng_1bit)
+        x_ideal, w_ideal, est[1, k] = pf_step(x_ideal, w_ideal, model, y,
+                                              lik_ideal, config, rng_ideal)
     return (est - theta)**2
 
 

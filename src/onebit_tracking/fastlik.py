@@ -131,22 +131,26 @@ class OneBitLinearLikelihood:
     def __init__(self, waveform: LinearGainWaveform, gamma: float):
         pilot = gamma * waveform.pilot
         magnitudes = np.abs(pilot)
-        self._values = np.unique(magnitudes[magnitudes > 0])
-        groups = magnitudes == self._values[:, None]
+        values = np.unique(magnitudes[magnitudes > 0])
+        groups = magnitudes == values[:, None]
         self._sizes = groups.sum(axis=1)
         # one signed indicator row per magnitude: sign(pilot) on its samples
         self._signed = groups * np.sign(pilot)
         self._zero_const = np.log(0.5) * int(np.sum(magnitudes == 0))
+        # log Q arguments -v theta for every group, then +v theta
+        self._slopes = np.concatenate([-values, values])
 
     def __call__(self, onebit: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        out = np.full(thetas.shape, self._zero_const)
         # +-1 signs: the agreeing count (size + signed . onebit) / 2 is an
         # exact integer in floats
         n_pos = 0.5 * (self._sizes + self._signed @ onebit)
         n_neg = self._sizes - n_pos
-        for v, pos, neg in zip(self._values, n_pos.tolist(), n_neg.tolist()):
-            out += pos * log_q(-v * thetas) + neg * log_q(v * thetas)
+        lq = log_q(np.multiply.outer(self._slopes, thetas))
+        out = self._zero_const      # a unit-power pilot has a nonzero group
+        for pos, neg, lq_pos, lq_neg in zip(n_pos.tolist(), n_neg.tolist(),
+                                            lq[:n_pos.size], lq[n_pos.size:]):
+            out = out + (pos * lq_pos + neg * lq_neg)
         return out
 
 

@@ -8,6 +8,7 @@ effective sample size 1/sum(w^2) drops to kappa * L or below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     ell = weights.size
     positions = (rng.random() + np.arange(ell)) / ell
     # a cumsum that rounds to just below 1 leaves the top position past it
-    return np.minimum(np.searchsorted(np.cumsum(weights), positions), ell - 1)
+    return np.minimum(weights.cumsum().searchsorted(positions), ell - 1)
 
 
 def pf_step(particles: np.ndarray, weights: np.ndarray,
@@ -63,13 +64,14 @@ def pf_step(particles: np.ndarray, weights: np.ndarray,
     # propagate through the transition prior
     particles = (model.alpha * particles
                  + model.sigma * rng.standard_normal(particles.size))
-    logw = np.log(weights, out=np.full_like(weights, -np.inf),
-                  where=weights > 0)
-    logw = logw + loglik(observation, particles)
-    shift = np.max(logw)
-    if not np.isfinite(shift):
+    with np.errstate(divide="ignore"):     # a zero weight stays -inf
+        logw = np.log(weights)
+    logw += loglik(observation, particles)
+    shift = logw.max()
+    if not math.isfinite(shift):
         raise DegenerateCloudError("all particle weights vanished")
-    w = np.exp(logw - shift)
+    logw -= shift
+    w = np.exp(logw, out=logw)
     w /= w.sum()
     estimate = float(np.dot(w, particles))
     ess = 1.0 / float(np.dot(w, w))

@@ -262,12 +262,32 @@ class TestMonteCarlo:
             run_montecarlo(s, processes=1, realizations=1, master_seed=-1)
 
 
+def trial_oracle(scenario, theta, signals, likelihoods, noise, p, r):
+    """The trial loop written plainly: a fresh standard_normal(n) per block
+    from generator (p, r + 1, 0), y = signal + noise, then one pf_step per
+    receiver with its own generator (p, r + 1, i + 1); only receiver 0
+    sees the sample signs."""
+    model, config = scenario.state, scenario.pf
+    rng_obs = noise.generator((p, r + 1, 0))
+    rngs = [noise.generator((p, r + 1, i + 1)) for i in range(len(likelihoods))]
+    clouds = [pf_init(config, model.mu0, model.sigma0, rng) for rng in rngs]
+    est = np.empty((len(clouds), theta.size))
+    est[:, 0] = [np.dot(w, x) for x, w in clouds]
+    for k in range(1, theta.size):
+        y = signals[k - 1] + rng_obs.standard_normal(signals.shape[1])
+        for i, obs in enumerate((sign_bit(y), y)):
+            x, w, est[i, k] = pf_step(*clouds[i], model, obs, likelihoods[i],
+                                      config, rngs[i])
+            clouds[i] = x, w
+    return (est - theta)**2
+
+
 class TestStreamLayout:
-    @pytest.mark.parametrize("name", ["uwb", "ranging"])
+    @pytest.mark.parametrize("name", ["ranging", "uwb", "mobile"])
     def test_each_row_is_a_single_receiver_filter(self, name):
-        # noise from generator (p, r + 1, 0), receiver i filters with
-        # (p, r + 1, i + 1); only row 0 sees the sample signs
-        s = builtin_scenario(name, blocks=4)
+        # bit for bit, so the harness must reproduce the oracle's
+        # per-block noise draws and per-receiver generators exactly
+        s = builtin_scenario(name, blocks=5 if name == "ranging" else 60)
         noise, p, r = NoiseModel(11), 2, 1
         theta = sample_trajectory(s.state, s.blocks, noise.generator((p,)))
         signals = np.stack([s.likelihood_gamma * s.waveform.signal(t)
@@ -276,15 +296,5 @@ class TestStreamLayout:
                 for rx in RECEIVERS]
         sq = _simulate_trial(s, theta, signals, liks, noise, p, r)
         assert sq.shape == (2, s.blocks + 1)
-        for i, lik in enumerate(liks):
-            rng_obs = noise.generator((p, r + 1, 0))
-            rng = noise.generator((p, r + 1, i + 1))
-            particles, weights = pf_init(s.pf, s.state.mu0, s.state.sigma0, rng)
-            est = [np.dot(weights, particles)]
-            for k in range(1, s.blocks + 1):
-                y = signals[k - 1] + rng_obs.standard_normal(signals.shape[1])
-                obs = sign_bit(y) if i == 0 else y
-                particles, weights, estimate = pf_step(
-                    particles, weights, s.state, obs, lik, s.pf, rng)
-                est.append(estimate)
-            np.testing.assert_array_equal(sq[i], (np.array(est) - theta)**2)
+        np.testing.assert_array_equal(
+            sq, trial_oracle(s, theta, signals, liks, noise, p, r))

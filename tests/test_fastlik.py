@@ -174,6 +174,23 @@ class TestLinearLikelihoods:
         exact = [loglik_onebit(obs.onebit, wf.eval(t), 1.0) for t in thetas]
         np.testing.assert_allclose(lik(obs.onebit, thetas), exact, atol=1e-10)
 
+    @pytest.mark.parametrize("setup", ["pilot_setup", "two_magnitude_setup"])
+    def test_onebit_accumulates_group_by_group(self, request, setup):
+        # bit for bit: zero_const + sum_g (pos_g log Q(-v_g th)
+        # + neg_g log Q(v_g th)), the groups in increasing magnitude
+        wf, obs = request.getfixturevalue(setup)
+        thetas = np.linspace(-0.8, 0.9, 23)
+        magnitudes = np.abs(wf.pilot)
+        expected = np.full(thetas.shape,
+                           np.log(0.5) * int(np.sum(magnitudes == 0)))
+        for v in np.unique(magnitudes[magnitudes > 0]):
+            group = magnitudes == v
+            pos = float(np.sum(obs.onebit[group] == np.sign(wf.pilot[group])))
+            neg = float(np.sum(group)) - pos
+            expected += pos * log_q(-v * thetas) + neg * log_q(v * thetas)
+        lik = OneBitLinearLikelihood(wf, 1.0)
+        np.testing.assert_array_equal(lik(obs.onebit, thetas), expected)
+
     def test_ideal_matches_exact(self, pilot_setup):
         wf, obs = pilot_setup
         lik = IdealLinearLikelihood(wf, 1.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,23 @@ class TestPfStep:
                                                survivor, cfg, rng)
         np.testing.assert_array_equal(particles, np.full(4, estimate))
         np.testing.assert_array_equal(weights, np.full(4, 0.25))
+
+    def test_zero_input_weights_stay_zero_and_inputs_unchanged(self):
+        model = StateSpaceModel(0.9, 0.1, 0.0, 1.0)
+        cfg = ParticleFilterConfig(num_particles=10, resample_threshold=0.01)
+        rng = np.random.default_rng(4)
+        particles, _ = pf_init(cfg, 0.0, 1.0, rng)
+        weights = np.where(np.arange(10) % 3 == 0, 0.0, 1.0 / 6)
+        inputs = particles.copy(), weights.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # log(0) must not warn
+            _, new_weights, _ = pf_step(particles, weights, model, None,
+                                        lambda obs, th: -0.5 * th**2, cfg, rng)
+        # ESS 1/sum(w^2) >= 1 stays above kappa L = 0.1: no resample
+        np.testing.assert_array_equal(new_weights == 0, weights == 0)
+        assert new_weights.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(particles, inputs[0])
+        np.testing.assert_array_equal(weights, inputs[1])
 
     def test_degenerate_cloud_raises(self):
         model = StateSpaceModel(0.9, 0.1, 0.0, 1.0)
