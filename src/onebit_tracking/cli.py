@@ -43,18 +43,18 @@ class ConfigError(ValueError):
 _PARAMS = (
     ("scenario", SCENARIO_NAMES, None, None),
     ("output", str, None, "output CSV path (default stdout)"),
-    ("seed", int, None, None),
-    ("workers", str, None, "worker count or 'auto'"),
+    ("seed", int, ("track",), None),
+    ("workers", str, ("track",), "worker count or 'auto'"),
     ("snr_db", float, None, None),
     ("alpha", float, None, None),
     ("sigma", float, None, None),
     ("blocks", int, None, None),
-    ("particles", int, None, None),
-    ("kappa", float, None, None),
-    ("trials", int, None, None),
-    ("realizations", int, None, None),
-    ("lambda", float, None, None),
-    ("unit", ("chips", "seconds", "meters", "native"), None, None),
+    ("particles", int, ("track",), None),
+    ("kappa", float, ("track",), None),
+    ("trials", int, ("track",), None),
+    ("realizations", int, ("track",), None),
+    ("lambda", float, ("transient",), None),
+    ("unit", ("chips", "seconds", "meters", "native"), ("bound",), None),
     ("bayes", bool, ("fisher",), None),
     ("beta_min", float, ("sweep",), None),
     ("beta_max", float, ("sweep",), None),

@@ -235,54 +235,54 @@ class MonteCarloResult:
     discarded: int               # degenerate trials dropped from the averages
 
 
-def _simulate_trial(scenario: Scenario, theta: np.ndarray,
-                    signals: np.ndarray, likelihoods: list,
-                    noise: NoiseModel, p: int, r: int) -> np.ndarray:
-    """One (trajectory, realization) trial; squared errors per receiver
-    and block.  Receiver i filters with likelihoods[i] and its own
-    generator (p, r + 1, i + 1); the observation noise is (p, r + 1, 0),
-    one standard_normal(n) per block in block order."""
-    model, config = scenario.state, scenario.pf
-    rng_obs = noise.generator((p, r + 1, 0))
-    rng_1bit, rng_ideal = (noise.generator((p, r + 1, i)) for i in (1, 2))
-    lik_1bit, lik_ideal = likelihoods
-    x_1bit, w_1bit = pf_init(config, model.mu0, model.sigma0, rng_1bit)
-    x_ideal, w_ideal = pf_init(config, model.mu0, model.sigma0, rng_ideal)
-    est = np.empty((2, theta.size))
-    est[:, 0] = np.dot(w_1bit, x_1bit), np.dot(w_ideal, x_ideal)
-    y = np.empty(signals.shape[1])
-    for k in range(1, theta.size):
-        rng_obs.standard_normal(out=y)
-        y += signals[k - 1]
-        x_1bit, w_1bit, est[0, k] = pf_step(x_1bit, w_1bit, model, sign_bit(y),
-                                            lik_1bit, config, rng_1bit)
-        x_ideal, w_ideal, est[1, k] = pf_step(x_ideal, w_ideal, model, y,
-                                              lik_ideal, config, rng_ideal)
-    return (est - theta)**2
-
-
 def _trajectory_worker(scenario: Scenario, master_seed: int, p: int,
                        realizations: int):
     """The pool work unit: all realizations of trajectory p, as
-    (p, sse_onebit, sse_ideal, completed, discarded)."""
+    (p, sse_onebit, sse_ideal, completed, discarded).
+
+    Realization r draws its observation noise from generator
+    (p, r + 1, 0), one standard_normal(n) per block in block order, and
+    receiver i filters with its own generator (p, r + 1, i + 1).  The
+    loop is block-major: each block's signal is synthesized once and
+    every live realization steps both filters on it, so memory is
+    O(N + R (L + K)) for N samples per block, R realizations, L
+    particles and K blocks.  At very large R the R term dominates: on
+    ranging a realization holds about 11 KB, 4 KB of it its (2, K+1)
+    estimates and the rest its two clouds and three generators, so
+    R = 10^5 takes about 1.1 GB.  A realization whose cloud
+    degenerates is dropped at that block and left out of the sums.
+    """
+    model, config = scenario.state, scenario.pf
     noise = NoiseModel(master_seed)
-    theta = sample_trajectory(scenario.state, scenario.blocks, noise.generator((p,)))
-    signals = np.stack([scenario.likelihood_gamma * scenario.waveform.signal(t)
-                        for t in theta[1:]])
+    theta = sample_trajectory(model, scenario.blocks, noise.generator((p,)))
     likelihoods = [make_likelihood(scenario.waveform,
                                    scenario.likelihood_gamma, rx)
                    for rx in RECEIVERS]
+    rngs = [[noise.generator((p, r + 1, role)) for role in range(3)]
+            for r in range(realizations)]
+    clouds = [[pf_init(config, model.mu0, model.sigma0, rng) for rng in row[1:]]
+              for row in rngs]
+    est = np.empty((realizations, len(RECEIVERS), theta.size))
+    est[:, :, 0] = [[np.dot(w, x) for x, w in row] for row in clouds]
+    live = list(range(realizations))
+    y = np.empty(scenario.waveform.samples_per_block)
+    for k in range(1, theta.size):
+        signal = scenario.likelihood_gamma * scenario.waveform.signal(theta[k])
+        for r in live.copy():
+            rngs[r][0].standard_normal(out=y)
+            y += signal
+            try:
+                for i, obs in enumerate((sign_bit(y), y)):
+                    x, w, est[r, i, k] = pf_step(*clouds[r][i], model, obs,
+                                                 likelihoods[i], config,
+                                                 rngs[r][i + 1])
+                    clouds[r][i] = x, w
+            except DegenerateCloudError:
+                live.remove(r)
     sse = np.zeros((len(RECEIVERS), theta.size))
-    completed = discarded = 0
-    for r in range(realizations):
-        try:
-            sse += _simulate_trial(scenario, theta, signals, likelihoods,
-                                   noise, p, r)
-        except DegenerateCloudError:
-            discarded += 1
-            continue
-        completed += 1
-    return p, sse[0], sse[1], completed, discarded
+    for r in live:
+        sse += (est[r] - theta)**2
+    return p, sse[0], sse[1], len(live), realizations - len(live)
 
 
 def run_montecarlo(scenario: Scenario, processes: int = DEFAULT_PROCESSES,

@@ -296,6 +296,18 @@ class TestParameterTable:
             assert from_flag == from_file
             assert list(from_flag) == [key]
 
+    @pytest.mark.parametrize("argv", [
+        ("track", "--scenario", "ranging", "--unit", "chips"),
+        ("bound", "--scenario", "uwb", "--seed", "1"),
+        ("track", "--scenario", "uwb", "--lambda", "5"),
+    ], ids=["track-unit", "bound-seed", "track-lambda"])
+    def test_flag_a_command_never_reads_is_rejected(self, tmp_path, argv):
+        out_file = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(out_file)])
+        assert exc.value.code == 2
+        assert not out_file.exists()
+
 
 class TestBadNumbers:
     """Bad input stops at the boundary: exit 2, an error line, no CSV."""

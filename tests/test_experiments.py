@@ -1,18 +1,20 @@
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from onebit_tracking import experiments
+from onebit_tracking import cli, experiments
 from onebit_tracking.bounds import bound_recursion, db, steady_state
 from onebit_tracking.channel import NoiseModel, sign_bit
 from onebit_tracking.experiments import (RECEIVERS, SPEED_OF_LIGHT,
-                                         _simulate_trial, builtin_scenario,
+                                         _trajectory_worker, builtin_scenario,
                                          finite_k_loss, run_bounds,
                                          run_montecarlo, steady_fbar,
                                          sweep_beta)
 from onebit_tracking.fastlik import make_likelihood
-from onebit_tracking.filters import pf_init, pf_step
+from onebit_tracking.filters import DegenerateCloudError, pf_init, pf_step
 from onebit_tracking.info import bayes_report, expected_fisher
 from onebit_tracking.state_space import marginal_moments, sample_trajectory
 
@@ -282,19 +284,84 @@ def trial_oracle(scenario, theta, signals, likelihoods, noise, p, r):
     return (est - theta)**2
 
 
+def oracle_sse(scenario, master_seed, p, realizations):
+    """Both receivers' squared errors of trajectory p, summed over the
+    given realizations in that order, one trial_oracle each."""
+    noise = NoiseModel(master_seed)
+    theta = sample_trajectory(scenario.state, scenario.blocks,
+                              noise.generator((p,)))
+    signals = np.stack([scenario.likelihood_gamma * scenario.waveform.signal(t)
+                        for t in theta[1:]])
+    liks = [make_likelihood(scenario.waveform, scenario.likelihood_gamma, rx)
+            for rx in RECEIVERS]
+    sse = np.zeros((len(RECEIVERS), theta.size))
+    for r in realizations:
+        sse += trial_oracle(scenario, theta, signals, liks, noise, p, r)
+    return sse
+
+
 class TestStreamLayout:
     @pytest.mark.parametrize("name", ["ranging", "uwb", "mobile"])
     def test_each_row_is_a_single_receiver_filter(self, name):
-        # bit for bit, so the harness must reproduce the oracle's
-        # per-block noise draws and per-receiver generators exactly
+        # bit for bit, so the block-major harness must reproduce the
+        # oracle's per-block noise draws and per-receiver generators
+        # exactly, and sum the realizations in realization order
         s = builtin_scenario(name, blocks=5 if name == "ranging" else 60)
-        noise, p, r = NoiseModel(11), 2, 1
-        theta = sample_trajectory(s.state, s.blocks, noise.generator((p,)))
-        signals = np.stack([s.likelihood_gamma * s.waveform.signal(t)
-                            for t in theta[1:]])
-        liks = [make_likelihood(s.waveform, s.likelihood_gamma, rx)
-                for rx in RECEIVERS]
-        sq = _simulate_trial(s, theta, signals, liks, noise, p, r)
-        assert sq.shape == (2, s.blocks + 1)
-        np.testing.assert_array_equal(
-            sq, trial_oracle(s, theta, signals, liks, noise, p, r))
+        p, *sse, completed, discarded = _trajectory_worker(s, 11, 2, 3)
+        assert (p, completed, discarded) == (2, 3, 0)
+        np.testing.assert_array_equal(sse, oracle_sse(s, 11, 2, range(3)))
+
+
+def degenerate_on(monkeypatch, key, j):
+    """Make the harness's j-th pf_step call with generator spawn key `key`
+    raise DegenerateCloudError; returns the per-key call counts."""
+    calls = Counter()
+
+    def step(*args):
+        spawn_key = args[-1].bit_generator.seed_seq.spawn_key
+        calls[spawn_key] += 1
+        if spawn_key == key and calls[spawn_key] == j:
+            raise DegenerateCloudError("injected")
+        return pf_step(*args)
+
+    monkeypatch.setattr(experiments, "pf_step", step)
+    return calls
+
+
+class TestDroppedRealization:
+    def test_worker_drops_it_at_that_block(self, monkeypatch):
+        s = builtin_scenario("uwb", blocks=30)
+        p, r, j = 1, 1, 12
+        calls = degenerate_on(monkeypatch, (p, r + 1, 1), j)
+        got_p, *sse, completed, discarded = _trajectory_worker(s, 11, p, 3)
+        assert (got_p, completed, discarded) == (p, 2, 1)
+        np.testing.assert_array_equal(sse, oracle_sse(s, 11, p, (0, 2)))
+        # the ideal filter of the dropped realization stops at block j
+        assert calls[(p, r + 1, 2)] == j - 1
+        assert calls[(p, 1, 2)] == calls[(p, 3, 2)] == s.blocks
+
+    def test_track_exits_3_and_counts_it(self, tmp_path, monkeypatch):
+        degenerate_on(monkeypatch, (0, 2, 1), 5)
+        out = tmp_path / "track.csv"
+        code = cli.main(["track", "--scenario", "uwb", "--trials", "2",
+                         "--realizations", "3", "--blocks", "10",
+                         "--seed", "11", "--output", str(out)])
+        assert code == 3
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 11
+        assert {row.split(",")[-1] for row in rows} == {"1"}
+
+
+def test_trajectory_memory_does_not_grow_with_blocks():
+    # the block signals are synthesized one at a time; a (K, N) array of
+    # them would add 150 x 2046 x 8 B = 2.5 MB per copy
+    peaks = []
+    for blocks in (20, 170):
+        s = builtin_scenario("ranging", blocks=blocks)
+        tracemalloc.start()
+        try:
+            _trajectory_worker(s, 0, 0, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5e6

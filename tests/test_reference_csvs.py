@@ -1,4 +1,4 @@
-"""Golden-output gate: the 26 reference CSVs of tools/csv_digests.py,
+"""Golden-output gate: the 27 reference CSVs of tools/csv_digests.py,
 run in-process, against the digests committed in
 tests/reference/SHA256SUMS.
 

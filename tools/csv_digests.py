@@ -61,6 +61,9 @@ def commands() -> list:
         ("track_ranging",
          ["track", "--scenario", "ranging", "--trials", "2",
           "--realizations", "3", "--seed", "5"]),
+        ("track_uwb_r5",
+         ["track", "--scenario", "uwb", "--trials", "1", "--realizations", "5",
+          "--blocks", "40", "--seed", "3"]),
     ]
     return runs
 
