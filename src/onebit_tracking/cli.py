@@ -12,12 +12,14 @@ Configuration is a flat key=value text file; CLI flags override file
 keys, unknown keys are rejected.  All CSV output uses a header row, '.'
 decimals, LF line endings, and 17 significant digits, so identical
 inputs give byte-identical files.  Exit codes: 0 ok, 2 configuration
-error, 3 completed with discarded trials.
+error (or a run too large to allocate), 3 completed with discarded
+trials.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import contextmanager
@@ -272,7 +274,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state on the parser
     parser = argparse.ArgumentParser(
         prog="onebit-tracking",
         description="Tracking-performance bounds and simulations for "
@@ -299,8 +303,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](_merged_config(args))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:
+        # a MemoryError: a size (such as --blocks) too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -174,34 +174,46 @@ def builtin_scenario(name: str, snr_db: float = None, alpha: float = None,
     raise ValueError(f"unknown scenario {name!r}; known: {SCENARIO_NAMES}")
 
 
-def steady_fbar(scenario: Scenario) -> np.ndarray:
-    """Stationary expected Fisher information per block, 1-bit then ideal.
+def _fisher_columns(scenario: Scenario, blocks: int) -> np.ndarray:
+    """Expected Fisher information, 1-bit row then ideal row: column k - 1
+    for block k = 1 .. blocks, and a last column for the stationary
+    distribution.
 
     The ideal information gamma^2 ||ds/dtheta||^2 is theta-free on both
     waveform families (gamma^2 p.p; by Parseval gamma^2 sum |2 pi f X_f|^2
-    / N), so one evaluation gives it.  The 1-bit information integrates
-    over the stationary gain distribution N(0, SNR) or averages over the
-    fractional delay: F(theta) has period T_s, and the blocks at the 32
-    delays q T_s / 32 hold each point of the 32x-oversampled table once,
-    so the average is one evaluation on that table, divided by 32.
-    Information that overflows (an SNR too large for the waveform)
-    raises ValueError.
+    / N), so one evaluation gives every column.  On a gain scenario the
+    1-bit information integrates over each block's marginal and over the
+    stationary N(0, sigma^2 / (1 - alpha^2)), all in one quadrature with
+    the stationary moments as its last point.  On the delay scenario it
+    is the average over the fractional delay: F(theta) has period T_s,
+    and the blocks at the 32 delays q T_s / 32 hold each point of the
+    32x-oversampled table once, so the average is one evaluation on that
+    table, divided by 32, for every column.  Information that overflows
+    (an SNR too large for the waveform) raises ValueError.
     """
+    state = scenario.state
+    fbar = np.empty((len(RECEIVERS), blocks + 1))
     # overflow is reported by the finiteness check below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         if scenario.kind == "delay":
-            onebit = fisher_onebit(scenario.waveform.baseband_table(32),
-                                   scenario.gamma) / 32
+            fbar[0] = fisher_onebit(scenario.waveform.baseband_table(32),
+                                    scenario.gamma) / 32
         else:
-            onebit = expected_fisher(
-                scenario.waveform, scenario.likelihood_gamma, 0.0,
-                scenario.state.stationary_variance)
-        fbar = np.array([onebit, fisher_ideal(scenario.waveform.eval(0.0),
-                                              scenario.likelihood_gamma)])
+            mean, var = marginal_moments(state, np.arange(1, blocks + 1))
+            fbar[0] = expected_fisher(
+                scenario.waveform, scenario.likelihood_gamma,
+                np.append(mean, 0.0), np.append(var, state.stationary_variance))
+        fbar[1] = fisher_ideal(scenario.waveform.eval(0.0),
+                               scenario.likelihood_gamma)
     if not np.all(np.isfinite(fbar)):
         raise ValueError("Fisher information is not finite "
                          f"at snr_db {scenario.snr_db}")
     return fbar
+
+
+def steady_fbar(scenario: Scenario) -> np.ndarray:
+    """Stationary expected Fisher information per block, 1-bit then ideal."""
+    return _fisher_columns(scenario, 0)[:, 0]
 
 
 def run_bounds(scenario: Scenario) -> BoundTrajectory:
@@ -212,17 +224,12 @@ def run_bounds(scenario: Scenario) -> BoundTrajectory:
     information except the 1-bit receiver's on a gain scenario, which
     follows the gain's block marginals.
     """
-    k, state = scenario.blocks, scenario.state
-    fbar = steady_fbar(scenario)
-    fbar_k = np.repeat(fbar[:, None], k, axis=1)
-    if scenario.kind == "linear":
-        mean, var = marginal_moments(state, np.arange(1, k + 1))
-        fbar_k[0] = expected_fisher(scenario.waveform, scenario.likelihood_gamma,
-                                    mean, var)
+    state = scenario.state
+    fbar = _fisher_columns(scenario, scenario.blocks)
     # looked up on the module, where the benchmark tracer wraps it
     return BoundTrajectory(
-        u=np.stack([bounds.bound_recursion(state, row) for row in fbar_k]),
-        steady=np.array([steady_state(state, f) for f in fbar]))
+        u=np.stack([bounds.bound_recursion(state, row[:-1]) for row in fbar]),
+        steady=np.array([steady_state(state, f) for f in fbar[:, -1]]))
 
 
 @dataclass(frozen=True)
@@ -331,12 +338,16 @@ def _beta_states(scenario: Scenario, betas) -> list:
     if scenario.kind != "linear":
         raise ValueError("the beta sweeps apply to the gain-tracking scenarios")
     betas = np.asarray(betas, dtype=float)
-    if not np.all((betas > 0) & (betas <= 1)):      # NaN fails too
-        raise ValueError("beta values must lie in (0, 1]")
+    alphas = 1.0 - betas
+    # alpha < 1 holds for beta > 0 except below about 5.6e-17, where 1 - beta
+    # rounds to 1; NaN fails too
+    if not np.all((alphas < 1) & (betas <= 1)):
+        raise ValueError("beta values must lie in (0, 1], large enough "
+                         "that 1 - beta rounds below 1")
     snr = scenario.snr
     return [(beta, replace(scenario.state, alpha=alpha,
                            sigma=np.sqrt((1.0 - alpha**2) * snr)))
-            for beta, alpha in zip(betas, 1.0 - betas)]
+            for beta, alpha in zip(betas, alphas)]
 
 
 def sweep_beta(scenario_base: Scenario, beta_grid) -> list:

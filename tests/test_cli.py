@@ -309,6 +309,37 @@ class TestParameterTable:
         assert not out_file.exists()
 
 
+class TestParserReuse:
+    """main builds its parser once per process; a call leaves nothing
+    behind for the next one."""
+
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_bayes_rows_do_not_carry_over(self, capsys):
+        code, out, _ = run(capsys, "fisher", "--scenario", "mobile", "--bayes")
+        assert code == 0 and "bayes_onebit" in out
+        code, out, _ = run(capsys, "fisher", "--scenario", "mobile")
+        assert code == 0
+        assert [row[0] for row in csv_rows(out)[1]] == [
+            "fisher_onebit", "fisher_ideal", "chi", "chi_db"]
+
+    @pytest.mark.parametrize("bad", [
+        ("fisher", "--scenario", "mobile", "--bayes", "--blocks", "x"),
+        ("bound", "--scenario", "uwb", "--seed", "1"),
+        ("fisher", "--scenario", "nowhere", "--bayes"),
+    ], ids=["bayes-then-bad-int", "flag-of-another-command", "bad-choice"])
+    def test_argparse_exit_then_valid_call(self, tmp_path, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            main([*bad, "--output", str(tmp_path / "bad.csv")])
+        capsys.readouterr()
+        assert exc.value.code == 2
+        code, out, err = run(capsys, "fisher", "--scenario", "mobile")
+        assert code == 0 and err == ""
+        assert "bayes_" not in out
+        assert os.listdir(tmp_path) == []
+
+
 class TestBadNumbers:
     """Bad input stops at the boundary: exit 2, an error line, no CSV."""
 
@@ -338,6 +369,9 @@ class TestBadNumbers:
         ("bound", "--scenario", "uwb", "--sigma", "1e-100", "--blocks", "2"),
         ("bound", "--scenario", "ranging", "--sigma", "1e-100", "--blocks", "2"),
         ("bound", "--scenario", "mobile", "--sigma", "1e-100", "--blocks", "2"),
+        ("bound", "--scenario", "mobile", "--blocks", "1000000000000000"),
+        ("track", "--scenario", "mobile", "--blocks", "1000000000000000"),
+        ("sweep", "--scenario", "mobile", "--beta-min", "1e-320", "--points", "2"),
     ], ids=["sigma-nan", "snr-nan", "snr-inf", "lambda-20", "lambda-nan",
             "unit-chips-on-gain", "snr-overflow", "snr-underflow",
             "snr-squared-overflow", "seed-negative", "finite-k-0",
@@ -346,7 +380,9 @@ class TestBadNumbers:
             "fisher-snr-subnormal", "sweep-info-overflow", "track-blocks-0",
             "bound-blocks-negative", "bound-sigma-squared-underflow",
             "transient-sigma-squared-underflow", "uwb-steady-overflow",
-            "ranging-steady-overflow", "mobile-steady-overflow"])
+            "ranging-steady-overflow", "mobile-steady-overflow",
+            "bound-blocks-unallocatable", "track-blocks-unallocatable",
+            "sweep-alpha-rounds-to-one"])
     def test_exit_2_without_output(self, tmp_path, capsys, argv):
         out_file = tmp_path / "out.csv"
         code, out, err = run(capsys, *argv, "--output", str(out_file))

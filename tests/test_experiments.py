@@ -15,7 +15,7 @@ from onebit_tracking.experiments import (RECEIVERS, SPEED_OF_LIGHT,
                                          sweep_beta)
 from onebit_tracking.fastlik import make_likelihood
 from onebit_tracking.filters import DegenerateCloudError, pf_init, pf_step
-from onebit_tracking.info import bayes_report, expected_fisher
+from onebit_tracking.info import bayes_report, expected_fisher, fisher_ideal
 from onebit_tracking.state_space import marginal_moments, sample_trajectory
 
 BETA_MESSAGE = r"beta values must lie in \(0, 1\]"
@@ -122,6 +122,36 @@ class TestBounds:
         np.testing.assert_array_equal(
             bt.u[1], bound_recursion(s.state, np.full(k, steady_fbar(s)[1])))
 
+    @pytest.mark.parametrize("overrides", [{}, {"blocks": 0}, {"alpha": 0.0}],
+                             ids=["defaults", "blocks-0", "alpha-0"])
+    @pytest.mark.parametrize("name", ["mobile", "uwb"])
+    def test_one_quadrature_for_marginals_and_stationary(self, monkeypatch,
+                                                         name, overrides):
+        s = builtin_scenario(name, **overrides)
+        k, state, gamma = s.blocks, s.state, s.likelihood_gamma
+        # oracle: one quadrature over the K block marginals and another
+        # over the stationary distribution
+        mean, var = marginal_moments(state, np.arange(1, k + 1))
+        marginals = expected_fisher(s.waveform, gamma, mean, var)
+        stationary = expected_fisher(s.waveform, gamma, 0.0,
+                                     state.stationary_variance)
+        ideal = fisher_ideal(s.waveform.eval(0.0), gamma)
+        u = np.stack([bound_recursion(state, marginals),
+                      bound_recursion(state, np.full(k, ideal))])
+        steady = [steady_state(state, f) for f in (stationary, ideal)]
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return expected_fisher(*args)
+
+        monkeypatch.setattr(experiments, "expected_fisher", counted)
+        bt = run_bounds(s)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(bt.u, u)
+        assert list(bt.steady) == steady
+
     def test_steady_fbar_positive_and_ordered(self):
         for name in ("ranging", "uwb", "mobile"):
             s = builtin_scenario(name)
@@ -151,9 +181,12 @@ class TestSweep:
 
     def test_rejects_bad_beta(self):
         s = builtin_scenario("mobile")
-        for grid in ([0.0, 0.5], [0.5, 1.5], [0.5, np.nan]):
+        # at 2^-54 and below, 1 - beta rounds to 1: the beta is at fault
+        for grid in ([0.0, 0.5], [0.5, 1.5], [0.5, np.nan], [1e-320, 0.5],
+                     [2.0**-54, 0.5]):
             with pytest.raises(ValueError, match=BETA_MESSAGE):
                 sweep_beta(s, grid)
+        assert sweep_beta(s, [2.0**-52, 0.5])[0][0] == 2.0**-52
         with pytest.raises(ValueError):
             sweep_beta(builtin_scenario("ranging"), [0.5])
 
@@ -169,8 +202,9 @@ class TestSweep:
 class TestFiniteK:
     def test_rejects_what_the_sweep_rejects(self):
         # both sweeps take the kind check and the beta check from one helper
-        with pytest.raises(ValueError, match=BETA_MESSAGE):
-            finite_k_loss(builtin_scenario("mobile"), [0.0], 3)
+        for grid in ([0.0], [1e-320]):
+            with pytest.raises(ValueError, match=BETA_MESSAGE):
+                finite_k_loss(builtin_scenario("mobile"), grid, 3)
         with pytest.raises(ValueError, match="gain-tracking"):
             finite_k_loss(builtin_scenario("ranging"), [0.5], 3)
 
