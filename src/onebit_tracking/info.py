@@ -37,11 +37,15 @@ class BayesReport:
 def onebit_summands(s, ds, gamma):
     """Per-sample contributions to the 1-bit Fisher information.
 
-    Each term is evaluated as exp(-g^2 s^2 - log Q(g s) - log Q(-g s)) so
-    the Q-product in the denominator survives |gamma * s| well beyond 8.
+    Each term is evaluated as exp(-g^2 s^2 - log(Q(g s) Q(-g s))) so the
+    Q-product in the denominator survives |gamma * s| well beyond 8.  One
+    tail gives both factors: with a = log Q(|g s|) <= log 1/2, the other
+    factor is log(1 - e^a) = log1p(-e^a), accurate for every a <= -log 2
+    (Maechler 2012).
     """
     gs = gamma * s
-    log_term = -gs * gs - log_q(gs) - log_q(-gs)
+    a = log_q(np.abs(gs))
+    log_term = -gs * gs - a - np.log1p(-np.exp(a))
     return (gamma**2 / (2.0 * np.pi)) * ds * ds * np.exp(log_term)
 
 
@@ -71,8 +75,11 @@ def expected_fisher(waveform, gamma: float, mean, var) -> np.ndarray:
     values, counts = np.unique(np.abs(pilot[pilot != 0]), return_counts=True)
     x, w = np.polynomial.hermite.hermgauss(QUADRATURE_NODES)
     thetas = mean[..., None] + np.sqrt(2.0 * var)[..., None] * x
-    fisher = onebit_summands(thetas[..., None] * values, values, gamma) @ counts
-    return fisher @ w / np.sqrt(np.pi)
+    # elementwise products and numpy's pairwise sums, not BLAS products: a
+    # point's value is then the same whatever other points share the call
+    fisher = (onebit_summands(thetas[..., None] * values, values, gamma)
+              * counts).sum(-1)
+    return (fisher * w).sum(-1) / np.sqrt(np.pi)
 
 
 def bayes_report(fbar_onebit: float, fbar_ideal: float, j_prior: float) -> BayesReport:

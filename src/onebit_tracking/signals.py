@@ -14,6 +14,7 @@ respect to the parameter (``eval``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,11 +58,18 @@ def generate_gps_ca_code(prn: int, chip_duration: float = 1.0 / 1.023e6) -> Code
     output.  Code bit 1 maps to +1, bit 0 to -1.  Each register's output
     obeys the linear recurrence of its taps, so the first ten outputs are
     the all-ones state and every later one is the xor of earlier outputs.
+    The code is built once per (prn, chip_duration) in a process and
+    shared, so its symbols are read-only.
     """
     if not isinstance(prn, (int, np.integer)) or isinstance(prn, bool):
         raise ValueError(f"PRN must be an integer, got {prn!r}")
     if not 1 <= prn <= 32:
         raise ValueError(f"PRN must be in 1..32, got {prn}")
+    return _ca_code(int(prn), float(chip_duration))
+
+
+@functools.cache
+def _ca_code(prn: int, chip_duration: float) -> CodeSequence:
     g1 = [1] * 10
     g2 = [1] * 10
     for i in range(10, CA_CODE_LENGTH):
@@ -69,7 +77,9 @@ def generate_gps_ca_code(prn: int, chip_duration: float = 1.0 / 1.023e6) -> Code
         g2.append(g2[i - 2] ^ g2[i - 3] ^ g2[i - 6] ^ g2[i - 8]
                   ^ g2[i - 9] ^ g2[i - 10])
     chips = np.array(g1) ^ np.roll(g2, _G2_DELAY[prn - 1])
-    return CodeSequence(np.where(chips == 1, 1.0, -1.0), chip_duration)
+    code = CodeSequence(np.where(chips == 1, 1.0, -1.0), chip_duration)
+    code.symbols.flags.writeable = False
+    return code
 
 
 @dataclass(frozen=True)

@@ -372,6 +372,7 @@ class TestBadNumbers:
         ("bound", "--scenario", "mobile", "--blocks", "1000000000000000"),
         ("track", "--scenario", "mobile", "--blocks", "1000000000000000"),
         ("sweep", "--scenario", "mobile", "--beta-min", "1e-320", "--points", "2"),
+        ("fisher", "--scenario", "ranging", "--snr-db", "60"),
     ], ids=["sigma-nan", "snr-nan", "snr-inf", "lambda-20", "lambda-nan",
             "unit-chips-on-gain", "snr-overflow", "snr-underflow",
             "snr-squared-overflow", "seed-negative", "finite-k-0",
@@ -382,7 +383,7 @@ class TestBadNumbers:
             "transient-sigma-squared-underflow", "uwb-steady-overflow",
             "ranging-steady-overflow", "mobile-steady-overflow",
             "bound-blocks-unallocatable", "track-blocks-unallocatable",
-            "sweep-alpha-rounds-to-one"])
+            "sweep-alpha-rounds-to-one", "ranging-delay-average-unresolved"])
     def test_exit_2_without_output(self, tmp_path, capsys, argv):
         out_file = tmp_path / "out.csv"
         code, out, err = run(capsys, *argv, "--output", str(out_file))

@@ -159,6 +159,40 @@ class TestBounds:
             assert 0 < fb < fbi
 
 
+class TestDelayAverage:
+    """The ranging information's doubling rule (accuracy: test_info)."""
+
+    def spy(self, monkeypatch):
+        sizes = []
+        original = experiments.fisher_onebit
+
+        def fisher_onebit(ev, gamma):
+            sizes.append(ev.s.size)
+            return original(ev, gamma)
+        monkeypatch.setattr(experiments, "fisher_onebit", fisher_onebit)
+        return sizes
+
+    def test_default_snr_stops_at_the_16x_table(self, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        s = builtin_scenario("ranging")
+        steady_fbar(s)
+        # the even and the odd points of the 16x table, 8 N each
+        assert sizes == [8 * s.waveform.samples_per_block] * 2
+
+    def test_levels_double_up_to_the_first_agreement(self, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        s = builtin_scenario("ranging", snr_db=20.0)
+        steady_fbar(s)
+        n = s.waveform.samples_per_block
+        assert sizes == [m * n for m in (8, 8, 16, 16, 32, 32, 64, 64)]
+
+    def test_a_finer_table_than_the_cap_is_a_value_error(self, monkeypatch):
+        monkeypatch.setattr(experiments, "MAX_DELAY_OVERSAMPLING", 64)
+        steady_fbar(builtin_scenario("ranging", snr_db=10.0))   # 32x suffices
+        with pytest.raises(ValueError, match="within a 64x oversampled table"):
+            steady_fbar(builtin_scenario("ranging", snr_db=30.0))
+
+
 class TestSweep:
     def test_memoryless_limit_matches_psi(self):
         s = builtin_scenario("mobile")

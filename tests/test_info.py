@@ -1,5 +1,6 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -7,7 +8,7 @@ from scipy.stats import norm
 
 from onebit_tracking.experiments import builtin_scenario, steady_fbar
 from onebit_tracking.info import (bayes_report, expected_fisher, fisher_ideal,
-                                  fisher_onebit)
+                                  fisher_onebit, onebit_summands)
 from onebit_tracking.signals import (CodeSequence, LinearGainWaveform,
                                      WaveformEval, generate_gps_ca_code,
                                      make_delay_waveform, make_pilot_waveform)
@@ -98,6 +99,53 @@ class TestFisherClosedForm:
         assert np.isfinite(fisher_onebit(ev, 1.0))
 
 
+def mp_summand(x):
+    """exp(-x^2) / (2 pi Q(x) Q(-x)) in 50-digit arithmetic."""
+    x = mpmath.mpf(x)
+    q = mpmath.erfc(x / mpmath.sqrt(2)) * mpmath.erfc(-x / mpmath.sqrt(2)) / 4
+    return mpmath.exp(-x * x) / (2 * mpmath.pi * q)
+
+
+class TestQProduct:
+    """onebit_summands (one log Q call per point) against mpmath."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        rng = np.random.default_rng(5)
+        x = np.concatenate([[0.0, 1e-8, -1e-8, 3e-9, 1e-300],
+                            np.linspace(-40.0, 40.0, 801),
+                            rng.uniform(-40.0, 40.0, 500),
+                            rng.uniform(-3.0, 3.0, 200)])
+        with mpmath.workdps(50):
+            want = np.array([float(mp_summand(v)) for v in x])
+        return x, want, onebit_summands(x, np.ones_like(x), 1.0)
+
+    def test_near_zero_and_the_body(self, points):
+        x, want, got = points
+        body = np.abs(x) <= 5
+        np.testing.assert_allclose(got[body], want[body], rtol=1e-14, atol=0)
+
+    def test_deep_tail_on_the_log_scale(self, points):
+        # exp(-x^2 - log(Q Q)) rounds its exponent at the scale of x^2, up
+        # to 1600 here, so the value's relative error grows as x^2 * eps
+        # (5e-13 at |x| = 38, for the two-call form too); the exponent
+        # itself stays within 1e-14 relative
+        x, want, got = points
+        normal = want >= np.finfo(float).tiny
+        np.testing.assert_allclose(np.log(got[normal]), np.log(want[normal]),
+                                   rtol=1e-14, atol=0)
+        assert np.all(got[want == 0] == 0)
+
+    def test_gamma_scales_the_argument(self):
+        s, ds = np.array([0.3, -2.0, 7.5]), np.array([1.0, -0.5, 2.0])
+        gamma = 1.7
+        with mpmath.workdps(50):
+            want = [float(mp_summand(gamma * v)) * gamma**2 * d * d
+                    for v, d in zip(s, ds)]
+        np.testing.assert_allclose(onebit_summands(s, ds, gamma), want,
+                                   rtol=1e-14, atol=0)
+
+
 def chi(ev, gamma):
     """Block-wise 1-bit information loss F / F_inf."""
     return fisher_onebit(ev, gamma) / fisher_ideal(ev, gamma)
@@ -168,6 +216,16 @@ class TestExpectedFisher:
                 for m, v in zip(mean, var)]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
+    def test_a_point_does_not_depend_on_the_call(self):
+        # fixed-order sums: a block's value alone is bit-equal to the same
+        # block inside a 1001-point call
+        mobile = builtin_scenario("mobile")
+        mean, var = marginal_moments(mobile.state, np.arange(1, 1002))
+        together = expected_fisher(mobile.waveform, 1.0, mean, var)
+        alone = [expected_fisher(mobile.waveform, 1.0, m, v)
+                 for m, v in zip(mean, var)]
+        assert together.tolist() == alone
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             expected_fisher(self.wf, 1.0, 0.0, -1.0)
@@ -192,10 +250,24 @@ class TestSteadyIdeal:
         assert steady_fbar(s)[1] == pytest.approx(parseval, rel=1e-14, abs=0)
 
 
+@pytest.fixture(scope="module")
+def finest_table():
+    """The ranging waveform's 2048x-oversampled table, whose average is
+    the delay average to roundoff up to about 49 dB."""
+    return builtin_scenario("ranging").waveform.baseband_table(2048)
+
+
 class TestSteadyOnebitDelay:
-    @pytest.mark.parametrize("snr_db", [-15.0, 0.0, 20.0])
-    def test_oversampled_table_matches_delay_average(self, snr_db):
+    @pytest.mark.parametrize("snr_db", [-15.0, 0.0, 10.0, 20.0, 25.0, 30.0,
+                                        35.0, 40.0, 45.0])
+    def test_delay_average_matches_the_finest_table(self, snr_db, finest_table):
         s = builtin_scenario("ranging", snr_db=snr_db)
+        oracle = fisher_onebit(finest_table, s.gamma) / 2048
+        assert steady_fbar(s)[0] == pytest.approx(oracle, rel=1e-12, abs=0)
+
+    def test_delay_average_matches_direct_evaluation(self):
+        # at the default SNR, against waveform evaluations without a table
+        s = builtin_scenario("ranging")
         assert steady_fbar(s)[0] == pytest.approx(delay_average_fisher(s),
                                                   rel=1e-14, abs=0)
 

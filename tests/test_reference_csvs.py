@@ -1,22 +1,26 @@
 """Golden-output gate: the 27 reference CSVs of tools/csv_digests.py,
-run in-process, against the digests committed in
-tests/reference/SHA256SUMS.
+run in one child process with the tool's pinned CPU kernels, against
+the digests committed in tests/reference/SHA256SUMS.
 
 A change that moves an output on purpose re-records the file with
 ``PYTHONPATH=src python tools/csv_digests.py --record`` and names each
 moved file and row in CHANGES.md.  The digests depend on the numpy and
 scipy builds (FFT and log_ndtr rounding, Generator streams), so a run on
-other versions than the recorded ones is skipped, not compared.
+other versions than the recorded ones is skipped, not compared.  They
+also depend on the CPU kernels numpy and OpenBLAS choose at run time;
+the child runs with the tool's PINNED_ENV (numpy's AVX2 loops,
+OpenBLAS's Haswell kernels), the same kernels on every x86-64-v3 CPU.
 """
 
 import importlib.util
-import io
 import os
+import subprocess
+import sys
 
 import pytest
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "tools", "csv_digests.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "csv_digests.py")
 
 
 def load_tool():
@@ -26,16 +30,29 @@ def load_tool():
     return module
 
 
+def read_sums(path):
+    """({CSV name: digest}, first line) of a sha256sum-format file."""
+    with open(path, encoding="ascii") as fh:
+        lines = fh.readlines()
+    return {name: digest for digest, name in
+            (line.split() for line in lines if not line.startswith("#"))}, lines[0]
+
+
 def test_reference_csvs_are_byte_identical(tmp_path):
     tool = load_tool()
-    with open(tool.REFERENCE, encoding="ascii") as fh:
-        header, *lines = fh.readlines()
+    expected, header = read_sums(tool.REFERENCE)
     if header != tool.versions():
         pytest.skip(f"digests recorded with {header[2:].strip()}, "
                     f"this run has {tool.versions()[2:].strip()}")
-    expected = {name: digest for digest, name in map(str.split, lines)}
-    got = tool.digests(str(tmp_path), log=io.StringIO())
+    path = os.pathsep.join([os.path.join(ROOT, "src"),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, TOOL, str(tmp_path)],
+                         env={**os.environ, **tool.PINNED_ENV, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=False)
+    assert run.returncode == 0, run.stderr
+    got, _ = read_sums(tmp_path / "SHA256SUMS")
     assert list(got) == list(expected), "the command list no longer matches"
     moved = [name for name in expected if got[name] != expected[name]]
-    assert not moved, (f"{len(moved)} of {len(expected)} reference CSVs moved: "
+    assert not moved, (f"{len(moved)} of {len(expected)} reference CSVs moved "
+                       f"with the CPU kernels {tool.PINNED_ENV}: "
                        f"{', '.join(moved)}")

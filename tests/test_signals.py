@@ -68,6 +68,16 @@ class TestGpsCode:
         code = generate_gps_ca_code(1)
         assert code.length * code.chip_duration == pytest.approx(1e-3)
 
+    def test_built_once_per_prn_and_chip_duration(self):
+        code = generate_gps_ca_code(5)
+        assert generate_gps_ca_code(np.int64(5), code.chip_duration) is code
+        other = generate_gps_ca_code(5, 2e-6)
+        assert other is not code and other.chip_duration == 2e-6
+        np.testing.assert_array_equal(other.symbols, code.symbols)
+        # the shared symbols cannot be changed by one caller for the rest
+        with pytest.raises(ValueError, match="read-only"):
+            code.symbols[0] = -code.symbols[0]
+
     @pytest.mark.parametrize("prn", [0, 33, -1, 1.5, "5", True])
     def test_invalid_prn(self, prn):
         with pytest.raises(ValueError):

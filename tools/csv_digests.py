@@ -10,16 +10,24 @@ the package) and comparing the two SHA256SUMS files, e.g. with
 ``diff``, shows which outputs a change moved.  ``--record`` runs the
 same commands in a temporary directory and rewrites the committed
 reference ``tests/reference/SHA256SUMS``, headed by the numpy and scipy
-versions the digests depend on; ``tests/test_reference_csvs.py``
-compares every run of the test suite with it.  Exits 1 if a command
-exits with a code other than 0 or 3 (3: completed with discarded
-trials).
+versions and the CPU kernels the digests depend on;
+``tests/test_reference_csvs.py`` compares every run of the test suite
+with it.  Exits 1 if a command exits with a code other than 0 or 3 (3:
+completed with discarded trials).
+
+numpy's exp and log loops and OpenBLAS's dot and gemv kernels are
+chosen by the CPU at run time and round differently, so both forms run
+the commands with the kernels that PINNED_ENV selects, numpy's AVX2
+loops and OpenBLAS's Haswell kernels, which every x86-64-v3 CPU can
+run.  numpy reads its setting at import, so a process started without
+PINNED_ENV runs the tool again in a child process that has it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -30,6 +38,10 @@ from onebit_tracking import cli
 
 REFERENCE = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tests", "reference", "SHA256SUMS")
+
+# the CPU kernels of every digest run (see the module docstring)
+PINNED_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+              "OPENBLAS_CORETYPE": "Haswell"}
 
 _TRACK_SMALL = ["--trials", "2", "--realizations", "2", "--blocks", "40",
                 "--seed", "0"]
@@ -69,8 +81,10 @@ def commands() -> list:
 
 
 def versions() -> str:
-    """The header line of the reference: the builds the digests depend on."""
-    return f"# numpy {np.__version__} scipy {scipy.__version__}\n"
+    """The header line of the reference: the builds and the CPU kernels
+    the digests depend on."""
+    pinned = " ".join(f"{key}={value!r}" for key, value in PINNED_ENV.items())
+    return f"# numpy {np.__version__} scipy {scipy.__version__} {pinned}\n"
 
 
 def digests(outdir: str, log) -> dict:
@@ -101,6 +115,10 @@ def main(argv=None) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
+    if any(os.environ.get(key) != value for key, value in PINNED_ENV.items()):
+        return subprocess.run([sys.executable, os.path.abspath(__file__), *argv],
+                              env={**os.environ, **PINNED_ENV},
+                              check=False).returncode
     print(f"package: {os.path.dirname(cli.__file__)}", file=sys.stderr)
     if argv[0] == "--record":
         with tempfile.TemporaryDirectory() as outdir:
