@@ -51,6 +51,9 @@ DEFAULT_REALIZATIONS = 50
 
 # finest oversampled table of the ranging delay average (_delay_average_onebit)
 MAX_DELAY_OVERSAMPLING = 2048
+# |Im x| of the poles of exp(-x^2) / (Q(x) Q(-x)) nearest the real axis:
+# sqrt 2 times that of the first complex zeros of erfc
+_Q_POLE_IM = 2.8164
 
 
 def _linear_snr(snr_db: float) -> float:
@@ -191,6 +194,13 @@ def _delay_average_onebit(scenario: Scenario) -> float:
     than MAX_DELAY_OVERSAMPLING (above about 49 dB on the ranging code)
     raises ValueError; non-finite information is returned for the
     caller's check.
+
+    The error falls like exp(-2 pi a M) when F is analytic in the strip
+    |Im theta| < a T_s.  F has poles where gamma s(theta) meets a zero of
+    Q(x) Q(-x), the nearest at |Im x| = _Q_POLE_IM, so a is about
+    _Q_POLE_IM / (gamma S), S the steepest slope of s per sample.  The
+    ValueError comes as soon as the difference, even falling three times
+    faster than that, could not reach 1e-13 by the cap.
     """
     m = 8
     while 2 * m <= MAX_DELAY_OVERSAMPLING:
@@ -200,8 +210,14 @@ def _delay_average_onebit(scenario: Scenario) -> float:
                                                     table.ds_dtheta[i::2]),
                                        scenario.gamma) for i in (0, 1))
         fine = (f_even + f_odd) / (2 * m)
-        if not np.isfinite(fine) or abs(fine - f_even / m) <= 1e-13 * fine:
+        diff = abs(fine - f_even / m)
+        if not np.isfinite(fine) or diff <= 1e-13 * fine:
             return fine
+        ds = table.ds_dtheta
+        slope = max(ds.max(), -ds.min()) / scenario.waveform.sample_rate
+        rate = 3.0 * 2.0 * np.pi * _Q_POLE_IM / (scenario.gamma * slope)
+        if diff * np.exp(-rate * (MAX_DELAY_OVERSAMPLING // 2 - m)) > 1e-13 * fine:
+            break
         m *= 2
     raise ValueError("the 1-bit delay average does not converge within a "
                      f"{MAX_DELAY_OVERSAMPLING}x oversampled table at "

@@ -11,12 +11,16 @@ cross-correlation with the observed signs:
 with the even/odd parts ge(a) = (log Q(-a) + log Q(a))/2 and
 go(a) = (log Q(-a) - log Q(a))/2 of log Q(-a) (valid because r_n is
 +-1).  Both terms are periodic functions of the delay; the correlation
-term is evaluated for all particles at once from one length-N FFT of
-the signs, a pointwise product against the precomputed spectra of the
-M polyphase components of the oversampled table, and M batched
-length-N inverse FFTs (one per fractional lag), followed by cubic
-interpolation.  The ideal-receiver likelihood reduces to the classical
-correlation gamma * y^T s(th) plus constants.
+term is evaluated for all particles at once from one real length-N FFT
+of the signs, a pointwise product against the precomputed
+non-negative-frequency spectra of the M polyphase components of the
+oversampled table (the other half of the spectrum is its mirror image,
+since both are real), and M batched length-N inverse FFTs (one per
+fractional lag) run in place in that buffer.  The even-part sum depends
+only on the fractional lag, so it is added to the M lag columns and one
+cubic interpolation gives the whole likelihood.  The ideal-receiver
+likelihood reduces to the classical correlation gamma * y^T s(th) plus
+constants.
 
 Linear-gain pilots need no spectral machinery: samples share a handful
 of distinct amplitudes, so the block log-likelihood collapses to sign
@@ -28,9 +32,13 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import log_q
+from .info import log_q_pair
 from .signals import DelayWaveform, LinearGainWaveform
 
 DEFAULT_OVERSAMPLING = 8
+
+# offsets of the four Catmull-Rom taps from floor(pos)
+_TAPS = np.arange(-1, 3)
 
 
 def periodic_cubic_interp(table: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -38,10 +46,10 @@ def periodic_cubic_interp(table: np.ndarray, pos: np.ndarray) -> np.ndarray:
     n = table.size
     i = np.floor(pos).astype(np.int64)
     f = pos - i
-    pm1 = table[(i - 1) % n]
-    p0 = table[i % n]
-    p1 = table[(i + 1) % n]
-    p2 = table[(i + 2) % n]
+    # floor(pos) wrapped into [-2, n - 3] puts all four taps in [-3, n - 1],
+    # valid indices (negative ones count from the end): one gather, which
+    # unlike take() reads a strided table without copying it
+    pm1, p0, p1, p2 = table[np.add.outer(_TAPS, (i + 2) % n - 2)]
     return 0.5 * (2.0 * p0 + f * ((p1 - pm1)
                   + f * ((2.0 * pm1 - 5.0 * p0 + 4.0 * p1 - p2)
                   + f * (3.0 * (p0 - p1) + p2 - pm1))))
@@ -53,9 +61,10 @@ class _DelayCorrelator:
     def __init__(self, waveform: DelayWaveform, table: np.ndarray):
         m = DEFAULT_OVERSAMPLING
         n = table.size // m
-        # Polyphase columns P[i, q] = table[(i*M - q) mod MN], as spectra
+        # Polyphase columns P[i, q] = table[(i*M - q) mod MN], as the
+        # non-negative-frequency half of their spectra (they are real)
         phases = table[(np.arange(n)[:, None] * m - np.arange(m)) % table.size]
-        self.phase_spectra_conj = np.conj(np.fft.fft(phases, axis=0))
+        self.phase_spectra_conj = np.conj(np.fft.rfft(phases, axis=0))
         # theta -> fine-grid index; one fine step is T_s / oversampling
         self.pos_scale = m * waveform.sample_rate
 
@@ -66,35 +75,44 @@ class _DelayCorrelator:
         the block with polyphase column q, so one length-N FFT of the
         block and M batched length-N inverse FFTs give all M*N lags,
         laid out (N, M) so that the flattened buffer is in lag order.
+        The block and the columns are real, so the product spectrum is
+        conjugate-symmetric: the real FFT of the block fills the
+        non-negative frequencies of the buffer, their mirror image the
+        rest, and the inverse FFT runs in place.
         """
-        spec = np.fft.fft(block)[:, None] * self.phase_spectra_conj
-        return np.fft.ifft(spec, axis=0).ravel().real
+        n, half = block.size, self.phase_spectra_conj.shape[0]
+        spec = np.empty((n, DEFAULT_OVERSAMPLING), dtype=complex)
+        np.multiply(np.fft.rfft(block)[:, None], self.phase_spectra_conj,
+                    out=spec[:half])
+        np.conjugate(spec[(n - 1) // 2:0:-1], out=spec[half:])
+        return np.fft.ifft(spec, axis=0, out=spec).ravel().real
 
 
 class OneBitDelayLikelihood:
     """Exact-per-split 1-bit block log-likelihood, vectorized over delays."""
 
     def __init__(self, waveform: DelayWaveform, gamma: float):
-        fine = waveform.baseband_table(DEFAULT_OVERSAMPLING).s
-        lq_pos = log_q(-gamma * fine)
-        lq_neg = log_q(gamma * fine)
-        odd = 0.5 * (lq_pos - lq_neg)
-        even = 0.5 * (lq_pos + lq_neg)
+        fine = gamma * waveform.baseband_table(DEFAULT_OVERSAMPLING).s
+        # log Q(|a|) and log Q(-|a|): the odd part carries the sign of a
+        tail, body = log_q_pair(fine)
+        odd = np.copysign(0.5 * (body - tail), fine)
+        even = 0.5 * (tail + body)
         self._corr = _DelayCorrelator(waveform, odd)
         # The even-part sum over one block is periodic in theta with
         # period T_s (a one-sample shift relabels the block samples), so
-        # only the M fractional offsets within one sample are needed.
+        # only the M fractional offsets within one sample are needed;
+        # fine lag a*M + q takes the q-th, so the M sums repeat over the
+        # M*N lags of the correlation
         m, mn = DEFAULT_OVERSAMPLING, fine.size
         sample_idx = np.arange(waveform.samples_per_block) * m
-        self._even_table = np.array([
-            even[(sample_idx - j) % mn].sum() for j in range(m)
-        ])
+        self._even_lags = np.tile([even[(sample_idx - j) % mn].sum()
+                                   for j in range(m)], mn // m)
 
     def __call__(self, onebit: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        corr = self._corr.correlate(onebit)
+        # both terms on the same lags: one interpolation
+        lags = self._corr.correlate(onebit) + self._even_lags
         pos = np.asarray(thetas) * self._corr.pos_scale
-        return (periodic_cubic_interp(corr, pos)
-                + periodic_cubic_interp(self._even_table, pos % DEFAULT_OVERSAMPLING))
+        return periodic_cubic_interp(lags, pos)
 
 
 class IdealDelayLikelihood:

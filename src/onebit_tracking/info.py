@@ -34,18 +34,27 @@ class BayesReport:
         return self.jbar_onebit / self.jbar_ideal
 
 
+def log_q_pair(x):
+    """(log Q(|x|), log Q(-|x|)) from one log_q call.
+
+    With a = log Q(|x|) <= log 1/2, the other tail is log(1 - e^a) =
+    log1p(-e^a), accurate for every a <= -log 2 (Maechler 2012).
+    """
+    a = log_q(np.abs(x))
+    return a, np.log1p(-np.exp(a))
+
+
 def onebit_summands(s, ds, gamma):
     """Per-sample contributions to the 1-bit Fisher information.
 
     Each term is evaluated as exp(-g^2 s^2 - log(Q(g s) Q(-g s))) so the
-    Q-product in the denominator survives |gamma * s| well beyond 8.  One
-    tail gives both factors: with a = log Q(|g s|) <= log 1/2, the other
-    factor is log(1 - e^a) = log1p(-e^a), accurate for every a <= -log 2
-    (Maechler 2012).
+    Q-product in the denominator survives |gamma * s| well beyond 8; both
+    factors come from one log_q call (log_q_pair).
     """
     gs = gamma * s
-    a = log_q(np.abs(gs))
-    log_term = -gs * gs - a - np.log1p(-np.exp(a))
+    tail, body = log_q_pair(gs)
+    log_term = -gs * gs - tail - body
+    del tail, body      # not held through the products below
     return (gamma**2 / (2.0 * np.pi)) * ds * ds * np.exp(log_term)
 
 

@@ -115,11 +115,26 @@ class DelayWaveform:
         """f_s = 2B with the one-sided bandwidth B = 1/T_c."""
         return 2.0 / self.code.chip_duration
 
-    def _delayed_spectrum(self, theta: float) -> np.ndarray:
-        """DFT coefficients of s(theta): the spectrum times the delay phase."""
+    def _synthesize(self, theta: float, oversampling: int, rows: int) -> np.ndarray:
+        """s (row 0) and ds/dtheta (row 1) of the delayed waveform on a grid
+        oversampled by an integer factor, the first `rows` of them.
+
+        Point i is x(i T_s / oversampling - theta).  The waveform is real
+        and its Nyquist harmonic is zero, so all rows come from one real
+        inverse FFT of the non-negative harmonics, delayed by their phase
+        and zero-padded to the grid.
+        """
         if not np.isfinite(theta):
             raise ValueError(f"delay must be finite, got {theta!r}")
-        return self.spectrum * np.exp(-2j * np.pi * self.frequencies * theta)
+        n = self.samples_per_block
+        half = n // 2
+        freqs = self.frequencies[:half]
+        spec = np.zeros((rows, oversampling * half + 1), dtype=complex)
+        spec[0, :half] = (oversampling * self.spectrum[:half]
+                          * np.exp(-2j * np.pi * freqs * theta))
+        if rows > 1:
+            spec[1, :half] = spec[0, :half] * (-2j * np.pi * freqs)
+        return np.fft.irfft(spec, n=oversampling * n)
 
     def signal(self, theta: float) -> np.ndarray:
         """Signal samples s(theta) for a delay theta in seconds.
@@ -127,30 +142,20 @@ class DelayWaveform:
         Blocks span exactly one code period, so every block sees the
         same waveform.
         """
-        return np.fft.ifft(self._delayed_spectrum(theta)).real
+        return self._synthesize(theta, 1, 1)[0]
 
     def eval(self, theta: float) -> WaveformEval:
         """Evaluate s(theta) and ds/dtheta for a delay theta in seconds."""
-        delayed = self._delayed_spectrum(theta)
-        ds = np.fft.ifft(delayed * (-2j * np.pi * self.frequencies)).real
-        return WaveformEval(np.fft.ifft(delayed).real, ds)
+        return WaveformEval(*self._synthesize(theta, 1, 2))
 
     def baseband_table(self, oversampling: int) -> WaveformEval:
         """s and ds/dtheta on a grid oversampled by the given integer factor.
 
         The tables span one code period with oversampling * N points;
         point i is x(i T_s / oversampling), so s_n(theta) for theta =
-        q T_s / oversampling is point n * oversampling - q.  Both come
-        from one real inverse FFT of the zero-padded half spectrum, which
-        is exact because the Nyquist harmonic is zero.
+        q T_s / oversampling is point n * oversampling - q.
         """
-        n = self.samples_per_block
-        half = n // 2
-        spec = np.zeros((2, oversampling * half + 1), dtype=complex)
-        spec[0, :half] = oversampling * self.spectrum[:half]
-        spec[1, :half] = spec[0, :half] * (-2j * np.pi * self.frequencies[:half])
-        s, ds = np.fft.irfft(spec, n=oversampling * n)
-        return WaveformEval(s, ds)
+        return WaveformEval(*self._synthesize(0.0, oversampling, 2))
 
 
 def make_delay_waveform(code: CodeSequence) -> DelayWaveform:

@@ -16,6 +16,7 @@ from onebit_tracking.experiments import (RECEIVERS, SPEED_OF_LIGHT,
 from onebit_tracking.fastlik import make_likelihood
 from onebit_tracking.filters import DegenerateCloudError, pf_init, pf_step
 from onebit_tracking.info import bayes_report, expected_fisher, fisher_ideal
+from onebit_tracking.signals import DelayWaveform
 from onebit_tracking.state_space import marginal_moments, sample_trajectory
 
 BETA_MESSAGE = r"beta values must lie in \(0, 1\]"
@@ -185,6 +186,21 @@ class TestDelayAverage:
         steady_fbar(s)
         n = s.waveform.samples_per_block
         assert sizes == [m * n for m in (8, 8, 16, 16, 32, 32, 64, 64)]
+
+    def test_an_unreachable_average_fails_at_the_first_table(self, monkeypatch):
+        # at 60 dB no table up to the cap resolves the average; the 16x
+        # table's difference and slope already show it
+        built = []
+        original = DelayWaveform.baseband_table
+
+        def baseband_table(self, oversampling):
+            built.append(oversampling)
+            return original(self, oversampling)
+        monkeypatch.setattr(DelayWaveform, "baseband_table", baseband_table)
+        with pytest.raises(ValueError, match="within a 2048x oversampled table "
+                                             "at snr_db 60.0"):
+            steady_fbar(builtin_scenario("ranging", snr_db=60.0))
+        assert built == [16]
 
     def test_a_finer_table_than_the_cap_is_a_value_error(self, monkeypatch):
         monkeypatch.setattr(experiments, "MAX_DELAY_OVERSAMPLING", 64)

@@ -52,7 +52,34 @@ def two_magnitude_setup():
     return wf, obs
 
 
+def four_gather_cubic_interp(table, pos):
+    """Oracle: Catmull-Rom with each tap gathered on its own, wrapped by %."""
+    n = table.size
+    i = np.floor(pos).astype(np.int64)
+    f = pos - i
+    pm1 = table[(i - 1) % n]
+    p0 = table[i % n]
+    p1 = table[(i + 1) % n]
+    p2 = table[(i + 2) % n]
+    return 0.5 * (2.0 * p0 + f * ((p1 - pm1)
+                  + f * ((2.0 * pm1 - 5.0 * p0 + 4.0 * p1 - p2)
+                  + f * (3.0 * (p0 - p1) + p2 - pm1))))
+
+
 class TestInterpolation:
+    def test_one_gather_is_the_four_gather_rule(self):
+        # bit for bit, on a contiguous and on a strided table, at positions
+        # on and off the nodes, negative and several periods out
+        rng = np.random.default_rng(2)
+        for n in (3, 4, 64, 16368):
+            buffer = rng.standard_normal(2 * n).view(complex)
+            pos = np.concatenate([np.arange(-2.0, n + 3.0), [-0.0, n - 1e-12],
+                                  rng.uniform(-3 * n, 3 * n, 200)])
+            for table in (buffer.real.copy(), buffer.real):
+                np.testing.assert_array_equal(
+                    periodic_cubic_interp(table, pos),
+                    four_gather_cubic_interp(table, pos))
+
     def test_exact_on_grid(self):
         table = np.sin(np.linspace(0, 2 * np.pi, 64, endpoint=False))
         pos = np.arange(64, dtype=float)
@@ -128,6 +155,48 @@ def tiled_fft_correlation(block, table):
     spectrum, and one length-MN inverse FFT."""
     spec = np.tile(np.fft.fft(block), DEFAULT_OVERSAMPLING)
     return np.fft.ifft(spec * np.conj(np.fft.fft(table))).real
+
+
+def two_interpolation_onebit(wf, gamma, onebit, thetas):
+    """Oracle: the 1-bit likelihood as two interpolated terms.
+
+    The odd and even parts come from one log Q call per sign, the odd
+    part's correlation over all M*N lags from the tiled length-MN FFT,
+    the even-part sums from one table of M fractional lags; the first is
+    interpolated at the fine lag, the second at the lag mod M.
+    """
+    m = DEFAULT_OVERSAMPLING
+    fine = wf.baseband_table(m).s
+    lq_pos, lq_neg = log_q(-gamma * fine), log_q(gamma * fine)
+    corr = tiled_fft_correlation(onebit, 0.5 * (lq_pos - lq_neg))
+    even = 0.5 * (lq_pos + lq_neg)
+    sample_idx = np.arange(wf.samples_per_block) * m
+    even_table = np.array([even[(sample_idx - j) % fine.size].sum()
+                           for j in range(m)])
+    pos = thetas * m * wf.sample_rate
+    return (four_gather_cubic_interp(corr, pos)
+            + four_gather_cubic_interp(even_table, pos % m))
+
+
+class TestFoldedOneBitLikelihood:
+    """One interpolation of the correlation plus the even part against the
+    two-interpolation formula."""
+
+    @pytest.mark.parametrize("snr_db", [-15.0, 0.0, 10.0])
+    @pytest.mark.parametrize("chips", [398.5137, 0.02, 1022.98, -0.03])
+    def test_matches_two_interpolations(self, snr_db, chips):
+        # clouds of 0.1 chip around the truth; the last three straddle the
+        # wrap of the code period (fine lag 0 = M N)
+        wf = make_delay_waveform(generate_gps_ca_code(5))
+        gamma = 10.0 ** (snr_db / 20.0)
+        tc = wf.code.chip_duration
+        theta = chips * tc
+        onebit = observe(wf.eval(theta), gamma, NoiseModel(13), (0, 2)).onebit
+        thetas = theta + tc * np.random.default_rng(4).uniform(-0.05, 0.05, 60)
+        np.testing.assert_allclose(
+            OneBitDelayLikelihood(wf, gamma)(onebit, thetas),
+            two_interpolation_onebit(wf, gamma, onebit, thetas),
+            rtol=0, atol=1e-11)
 
 
 class TestDelayCorrelator:

@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 from onebit_tracking.experiments import builtin_scenario, steady_fbar
 from onebit_tracking.info import (bayes_report, expected_fisher, fisher_ideal,
-                                  fisher_onebit, onebit_summands)
+                                  fisher_onebit, log_q_pair, onebit_summands)
 from onebit_tracking.signals import (CodeSequence, LinearGainWaveform,
                                      WaveformEval, generate_gps_ca_code,
                                      make_delay_waveform, make_pilot_waveform)
@@ -106,19 +106,50 @@ def mp_summand(x):
     return mpmath.exp(-x * x) / (2 * mpmath.pi * q)
 
 
+def mp_log_q_pair(x):
+    """log Q(|x|) and log Q(-|x|) = log(1 - Q(|x|)) in 50-digit arithmetic;
+    log1p keeps the second exact where Q(|x|) is below 1e-50."""
+    q = mpmath.erfc(abs(mpmath.mpf(x)) / mpmath.sqrt(2)) / 2
+    return mpmath.log(q), mpmath.log1p(-q)
+
+
 class TestQProduct:
-    """onebit_summands (one log Q call per point) against mpmath."""
+    """onebit_summands and log_q_pair (one log Q call per point) against
+    mpmath."""
 
     @pytest.fixture(scope="class")
-    def points(self):
+    def grid(self):
         rng = np.random.default_rng(5)
-        x = np.concatenate([[0.0, 1e-8, -1e-8, 3e-9, 1e-300],
-                            np.linspace(-40.0, 40.0, 801),
-                            rng.uniform(-40.0, 40.0, 500),
-                            rng.uniform(-3.0, 3.0, 200)])
+        return np.concatenate([[0.0, 1e-8, -1e-8, 3e-9, 1e-300],
+                               np.linspace(-40.0, 40.0, 801),
+                               rng.uniform(-40.0, 40.0, 500),
+                               rng.uniform(-3.0, 3.0, 200)])
+
+    @pytest.fixture(scope="class")
+    def points(self, grid):
+        x = grid
         with mpmath.workdps(50):
             want = np.array([float(mp_summand(v)) for v in x])
         return x, want, onebit_summands(x, np.ones_like(x), 1.0)
+
+    def test_pair_is_both_tails(self, grid):
+        # log Q(|x|) and log Q(-|x|) = log1p(-e^a): the second is about
+        # -Q(|x|) = -e^a, whose relative error grows as |a| * eps like the
+        # summand's (test_deep_tail_on_the_log_scale), so past |x| = 5 it
+        # is compared on the log scale, where it is a normal double
+        with mpmath.workdps(50):
+            tail, body = np.array([[float(t) for t in mp_log_q_pair(v)]
+                                   for v in grid]).T
+        got_tail, got_body = log_q_pair(grid)
+        np.testing.assert_allclose(got_tail, tail, rtol=1e-14, atol=0)
+        near = np.abs(grid) <= 5
+        np.testing.assert_allclose(got_body[near], body[near], rtol=1e-14,
+                                   atol=0)
+        normal = np.abs(body) >= np.finfo(float).tiny
+        np.testing.assert_allclose(np.log(-got_body[normal]),
+                                   np.log(-body[normal]), rtol=1e-14, atol=0)
+        assert np.all(np.abs(got_body[~normal]) < np.finfo(float).tiny)
+        np.testing.assert_array_equal(log_q_pair(-grid)[0], got_tail)
 
     def test_near_zero_and_the_body(self, points):
         x, want, got = points

@@ -13,6 +13,7 @@ OpenBLAS's Haswell kernels), the same kernels on every x86-64-v3 CPU.
 """
 
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -56,3 +57,30 @@ def test_reference_csvs_are_byte_identical(tmp_path):
     assert not moved, (f"{len(moved)} of {len(expected)} reference CSVs moved "
                        f"with the CPU kernels {tool.PINNED_ENV}: "
                        f"{', '.join(moved)}")
+
+
+def test_diff_names_the_worst_move_per_column(tmp_path, capsys):
+    tool = load_tool()
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {  # name: (old text, new text); None where the file is missing
+        "a.csv": ("k,x,y\n0,1.0,2\nsteady,4.0,5\n",
+                  "k,x,y\n0,1.0,2.000000001\nsteady,4.000004,5\n"),
+        "b.csv": ("quantity,value\nchi,0.5\n", "quantity,value\nchi,0.5\n"),
+        "c.csv": ("k,x\n0,1\n", "k,x\n0,1\n1,2\n"),
+        "d.csv": (None, "k\n"),
+        "e.csv": ("k,x\nsteady,1\n", "k,x\nsteady,nan\n"),
+    }
+    for directory, i in ((old, 0), (new, 1)):
+        directory.mkdir()
+        for name, texts in files.items():
+            if texts[i] is not None:
+                (directory / name).write_text(texts[i])
+    assert tool.relative_moves(str(old), str(new)) == [
+        ("a.csv", "x", pytest.approx(1e-6, rel=1e-5)),
+        ("a.csv", "y", pytest.approx(5e-10, rel=1e-5)),
+        ("c.csv", "shape", math.inf), ("d.csv", "shape", math.inf),
+        ("e.csv", "x", math.inf)]
+    assert tool.main(["--diff", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "a.csv  x  1e-06"
+    assert tool.main(["--diff", str(old), str(old)]) == 0
+    assert capsys.readouterr().out == ""

@@ -99,6 +99,14 @@ def delay_waveform():
     return make_delay_waveform(generate_gps_ca_code(5))
 
 
+def complex_ifft_eval(wf, theta):
+    """Oracle: s and ds/dtheta from the whole length-N spectrum, delayed by
+    its phase, through two complex inverse FFTs."""
+    delayed = wf.spectrum * np.exp(-2j * np.pi * wf.frequencies * theta)
+    ds = np.fft.ifft(delayed * (-2j * np.pi * wf.frequencies)).real
+    return np.fft.ifft(delayed).real, ds
+
+
 class TestDelayWaveform:
     def test_block_geometry(self, delay_waveform):
         assert delay_waveform.samples_per_block == 2046
@@ -161,6 +169,21 @@ class TestDelayWaveform:
             delay_waveform.eval(np.nan)
         with pytest.raises(ValueError):
             delay_waveform.signal(np.inf)
+
+    @pytest.mark.parametrize("samples", [0, 3, 2046, -5, 0.74, 35.2, -6.5,
+                                         -2.5e3, 5115.0])
+    def test_matches_the_complex_inverse_fft(self, delay_waveform, samples):
+        # integer, fractional and negative delays in samples, some beyond
+        # the code period; ds is compared relative to its largest sample
+        theta = samples / delay_waveform.sample_rate
+        s, ds = complex_ifft_eval(delay_waveform, theta)
+        ev = delay_waveform.eval(theta)
+        scale = np.max(np.abs(ds))
+        np.testing.assert_allclose(delay_waveform.signal(theta), s, rtol=0,
+                                   atol=1e-13)
+        np.testing.assert_allclose(ev.s, s, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ev.ds_dtheta / scale, ds / scale, rtol=0,
+                                   atol=1e-13)
 
     def test_signal_is_the_eval_signal(self, delay_waveform):
         theta = 0.37 * delay_waveform.code.chip_duration

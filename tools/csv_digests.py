@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tools/csv_digests.py OUTDIR
     PYTHONPATH=src python tools/csv_digests.py --record
+    PYTHONPATH=src python tools/csv_digests.py --diff OLDDIR NEWDIR
 
 The first form runs the fixed command list below through ``cli.main``,
 writes each CSV into OUTDIR and writes ``OUTDIR/SHA256SUMS`` in
@@ -13,7 +14,11 @@ reference ``tests/reference/SHA256SUMS``, headed by the numpy and scipy
 versions and the CPU kernels the digests depend on;
 ``tests/test_reference_csvs.py`` compares every run of the test suite
 with it.  Exits 1 if a command exits with a code other than 0 or 3 (3:
-completed with discarded trials).
+completed with discarded trials).  ``--diff`` compares the CSVs of two
+OUTDIRs number by number and prints, per file and column, the worst
+relative move |new - old| / max(|old|, |new|) of every column that
+moved (inf where a cell is not a finite number in both, or where the
+files differ in shape); it exits 1 if anything moved.
 
 numpy's exp and log loops and OpenBLAS's dot and gemv kernels are
 chosen by the CPU at run time and round differently, so both forms run
@@ -25,7 +30,9 @@ PINNED_ENV runs the tool again in a child process that has it.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -110,8 +117,56 @@ def _write(path: str, sums: dict, header: str) -> None:
                       if digest is not None)
 
 
+def _move(old: str, new: str) -> float:
+    """Relative move of one cell; inf unless both are finite numbers."""
+    if old == new:
+        return 0.0
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(b - a) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def _read(path: str) -> list:
+    with open(path, newline="", encoding="ascii") as fh:
+        return list(csv.reader(fh))
+
+
+def relative_moves(old_dir: str, new_dir: str) -> list:
+    """(CSV name, column, worst relative move) for every column that moved
+    between the CSVs of two directories; a file present in only one of
+    them, or whose header or row count differs, is one ("shape", inf)
+    entry."""
+    moves = []
+    names = sorted({f for d in (old_dir, new_dir) for f in os.listdir(d)
+                    if f.endswith(".csv")})
+    for name in names:
+        paths = [os.path.join(d, name) for d in (old_dir, new_dir)]
+        if not all(os.path.exists(p) for p in paths):
+            moves.append((name, "shape", math.inf))
+            continue
+        old, new = (_read(p) for p in paths)
+        if old[:1] != new[:1] or [len(r) for r in old] != [len(r) for r in new]:
+            moves.append((name, "shape", math.inf))
+            continue
+        for j, column in enumerate(old[0]):
+            worst = max((_move(a[j], b[j]) for a, b in zip(old[1:], new[1:])),
+                        default=0.0)
+            if worst:
+                moves.append((name, column, worst))
+    return moves
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--diff":
+        moves = relative_moves(argv[1], argv[2])
+        for name, column, worst in moves:
+            print(f"{name}  {column}  {worst:.3g}")
+        return 1 if moves else 0
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
